@@ -27,7 +27,6 @@ from .bellmode import (
     joint_distribution,
     povm_elements,
 )
-from .cli import write_events
 from .dsl import (
     CircuitProgram,
     CircuitRuntimeError,
@@ -61,7 +60,9 @@ from .errors import (
     RegistryError,
     SimulationError,
 )
+from .events import write_events
 from .protocol import (
+    BranchSet,
     BranchTable,
     CORRECTION_TABLE,
     CorrectionPlan,
@@ -73,6 +74,7 @@ from .protocol import (
     apply_correction,
     bob_decode,
     bob_decoder,
+    branch_set,
     branch_states_dual_rail,
     branch_states_polarization,
     branch_table,

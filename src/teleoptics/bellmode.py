@@ -18,16 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import SimulationError
-from .protocol import (
-    OUTCOMES,
-    OutcomeId,
-    SOURCE_MODES_2,
-    alice_transform,
-    branch_states_dual_rail,
-    branch_table,
-    preparer_encode,
-    source_state,
-)
+from .protocol import OUTCOMES, OutcomeId, branch_set, branch_states_dual_rail
 from .sampling import trial_stream
 from .states import JonesVector
 
@@ -52,7 +43,7 @@ class AliceStrategy:
                 raise SimulationError("one weight per encoding required")
             if any(w < 0.0 for w in weights):
                 raise SimulationError("weights must be non-negative")
-            if abs(sum(weights) - 1.0) > 1e-12:
+            if not abs(sum(weights) - 1.0) <= 1e-12:
                 raise SimulationError(f"weights sum to {sum(weights)!r}, expected 1")
             object.__setattr__(self, "weights", weights)
 
@@ -67,6 +58,8 @@ class BobSetting:
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta <= math.pi:
             raise SimulationError(f"theta must lie in [0, pi], got {self.theta!r}")
+        if not math.isfinite(self.phi):
+            raise SimulationError(f"phi must be finite, got {self.phi!r}")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +116,7 @@ class CorrelationTable:
             )
         for i in range(probabilities.shape[0]):
             total = float(probabilities[i].sum())
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:
                 raise SimulationError(
                     f"encoding {i} block sums to {total!r}, expected 1"
                 )
@@ -139,30 +132,23 @@ class CorrelationTable:
         return self.probabilities[encoding_index].sum(axis=0)
 
 
-def _click_rails(psi: JonesVector) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-click probabilities and photon-2 rail states for `psi`."""
-    state = alice_transform(preparer_encode(source_state(), psi))
-    table = branch_table(state, photon=1)
-    probs = np.empty(4)
-    rails = np.empty((4, 2), dtype=complex)
-    for out in OUTCOMES:
-        probs[out.index] = table.probability(out.value)
-        conditional = table.conditional(out.value)
-        if conditional is None:
-            raise SimulationError(f"branch {out} unexpectedly empty")
-        rails[out.index] = conditional.direction_vector(*SOURCE_MODES_2)
-    return probs, rails
+def _joint_cells(encodings: Sequence[JonesVector],
+                 settings: Sequence[BobSetting]) -> np.ndarray:
+    """P(click k, axis outcome b | encoding i, setting j) as [i, j, k, b]."""
+    probs = np.empty((len(encodings), 4))
+    rails = np.empty((len(encodings), 4, 2), dtype=complex)
+    for i, psi in enumerate(encodings):
+        branches = branch_set(psi)
+        probs[i] = branches.probabilities
+        rails[i] = branches.rails
+    axes = np.array([setting.basis() for setting in settings])
+    overlaps = np.einsum("sbr,ekr->eskb", axes.conj(), rails)
+    return probs[:, None, :, None] * np.abs(overlaps) ** 2
 
 
 def joint_distribution(strategy: AliceStrategy, setting: BobSetting) -> CorrelationTable:
     """Exact joint P(click, axis outcome) per encoding, from the full state."""
-    plus, minus = setting.basis()
-    blocks = np.empty((len(strategy.encodings), 4, 2))
-    for i, psi in enumerate(strategy.encodings):
-        probs, rails = _click_rails(psi)
-        for k in range(4):
-            blocks[i, k, 0] = probs[k] * abs(np.vdot(plus, rails[k])) ** 2
-            blocks[i, k, 1] = probs[k] * abs(np.vdot(minus, rails[k])) ** 2
+    blocks = _joint_cells(strategy.encodings, (setting,))[:, 0]
     return CorrelationTable(strategy.encodings, setting, blocks)
 
 
@@ -419,16 +405,7 @@ def grid_search_chsh(encoding_grid: Sequence[JonesVector] | None = None,
     settings = tuple(setting_grid) if setting_grid is not None else _default_setting_grid()
     sign_rows = [_binning_signs(b) for b in binnings]
 
-    pmf = np.empty((len(encodings), len(settings), 8))
-    for i, psi in enumerate(encodings):
-        probs, rails = _click_rails(psi)
-        for j, setting in enumerate(settings):
-            plus, minus = setting.basis()
-            block = np.empty((4, 2))
-            for k in range(4):
-                block[k, 0] = probs[k] * abs(np.vdot(plus, rails[k])) ** 2
-                block[k, 1] = probs[k] * abs(np.vdot(minus, rails[k])) ** 2
-            pmf[i, j] = block.reshape(8)
+    pmf = _joint_cells(encodings, settings).reshape(len(encodings), len(settings), 8)
 
     # correlator[i, m, j] for encoding i binned by pattern m at setting j
     cell_signs = np.stack(

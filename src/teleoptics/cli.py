@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
-from typing import IO, Sequence
+from typing import Sequence
 
 from .bellmode import default_scan_config, efficiency_report
 from .dsl import CircuitRuntimeError, compile_and_run, parse
-from .errors import NormalizationError, SimulationError
+from .errors import SimulationError
+from .events import fmt17, write_events
 from .protocol import OUTCOMES, teleport_exact
 from .sampling import DetectorModel, EventRecord, StationConfig, run_trials
 from .states import JonesVector
@@ -37,10 +37,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt17(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _add_psi_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=float, default=None,
                         help="polar angle in [0, pi]; state is "
@@ -52,10 +48,17 @@ def _add_psi_flags(parser: argparse.ArgumentParser) -> None:
                         help="explicit components, four reals; must be normalized")
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def _add_run_flags(parser: argparse.ArgumentParser, default_trials: int) -> None:
     parser.add_argument("--trials", type=int, default=default_trials,
                         help=f"number of trials (default {default_trials})")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_seed, default=0,
                         help="random seed (default 0)")
     parser.add_argument("--eta", type=float, default=1.0,
                         help="detector efficiency in [0, 1] (default 1)")
@@ -72,14 +75,14 @@ def _psi_from_args(parser: argparse.ArgumentParser,
             parser.error("--psi cannot be combined with --theta/--phi")
         try:
             return JonesVector.from_components(*args.psi)
-        except NormalizationError as exc:
+        except SimulationError as exc:
             parser.error(f"--psi: {exc}")
     if args.theta is None:
         parser.error("one of --theta or --psi is required")
     try:
         return JonesVector.from_bloch(args.theta, args.phi or 0.0)
-    except ValueError as exc:
-        parser.error(f"--theta: {exc}")
+    except (ValueError, SimulationError) as exc:
+        parser.error(f"--theta/--phi: {exc}")
     raise AssertionError("unreachable")
 
 
@@ -98,44 +101,6 @@ def _open_sink(path: str):
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
-
-
-def write_events(records: Sequence[EventRecord], sink: IO[str],
-                 format: str = "jsonl") -> None:
-    """Serialize trial records: one JSON object per line, or a CSV summary
-    with columns outcome,count,frequency,pass_count,pass_rate."""
-    if format == "jsonl":
-        for record in records:
-            payload = {
-                "trial": record.trial,
-                "outcome": record.outcome if record.outcome is not None else "lost",
-                "correction_c1": record.correction.fire_c1 if record.correction else None,
-                "correction_c2": record.correction.fire_c2 if record.correction else None,
-                "verifier_setting": record.verifier_setting,
-                "passed": record.passed,
-            }
-            sink.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        return
-    if format != "csv":
-        raise SimulationError(f"unknown format {format!r}")
-    sink.write("outcome,count,frequency,pass_count,pass_rate\n")
-    if not records:
-        return
-    labels = sorted({r.outcome for r in records if r.outcome is not None})
-    total = len(records)
-    for label in labels + ["lost"]:
-        if label == "lost":
-            group = [r for r in records if r.outcome is None]
-        else:
-            group = [r for r in records if r.outcome == label]
-        count = len(group)
-        checked = [r for r in group if r.passed is not None]
-        passes = sum(1 for r in checked if r.passed)
-        pass_count = str(passes) if checked else ""
-        pass_rate = _fmt17(passes / len(checked)) if checked else ""
-        sink.write(
-            f"{label},{count},{_fmt17(count / total)},{pass_count},{pass_rate}\n"
-        )
 
 
 def _write_records(args: argparse.Namespace, records: Sequence[EventRecord]) -> None:
@@ -192,8 +157,8 @@ def _cmd_bell_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     with _open_sink(args.out) as sink:
         sink.write("eta,post_selected_s,coincidence_rate\n")
         for row in rows:
-            sink.write(f"{_fmt17(row.eta)},{_fmt17(row.post_selected_s)},"
-                       f"{_fmt17(row.coincidence_rate)}\n")
+            sink.write(f"{fmt17(row.eta)},{fmt17(row.post_selected_s)},"
+                       f"{fmt17(row.coincidence_rate)}\n")
     print(f"bell-sweep: trials={args.trials} seed={args.seed}", file=sys.stderr)
     for row in rows:
         print(f"  eta {row.eta:.6g}: S {row.post_selected_s:.6g} "
@@ -263,7 +228,7 @@ def build_parser() -> _ArgumentParser:
                                help="efficiency sweep of the correlation mode")
     bell.add_argument("--trials", type=int, default=20000,
                       help="trials per efficiency value (default 20000)")
-    bell.add_argument("--seed", type=int, default=11,
+    bell.add_argument("--seed", type=_seed, default=11,
                       help="random seed shared across the sweep (default 11)")
     bell.add_argument("--etas", type=float, nargs="+",
                       default=[1.0, 0.9, 0.75, 0.5, 0.25],

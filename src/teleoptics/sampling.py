@@ -8,26 +8,13 @@ message (if random), verifier setting (if random), loss, outcome, polarizer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SimulationError
-from .protocol import (
-    CorrectionPlan,
-    OUTCOMES,
-    OutcomeId,
-    alice_transform,
-    apply_correction,
-    bob_decode,
-    branch_states_dual_rail,
-    branch_table,
-    correction_plan,
-    preparer_encode,
-    source_state,
-)
+from .protocol import CorrectionPlan, OUTCOMES, OutcomeId, branch_set, correction_plan
 from .states import JonesVector, random_jones
 
 #: Pass probabilities this close to 0 or 1 are snapped exact, so analytically
@@ -62,6 +49,11 @@ class RandomStream:
 
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
+    """The child stream of trial `trial` under run seed `seed`; both must
+    be non-negative."""
+    if seed < 0 or trial < 0:
+        raise SimulationError(
+            f"seed and trial index must be non-negative, got {seed!r}, {trial!r}")
     return RandomStream(seed, trial).generator()
 
 
@@ -88,7 +80,7 @@ def sample_branch_index(probabilities: Sequence[float],
     if lost:
         return None
     total = float(sum(probabilities))
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise SimulationError(f"branch probabilities sum to {total!r}, expected 1")
     acc = 0.0
     for i, p in enumerate(probabilities):
@@ -168,61 +160,29 @@ class EventRecord:
         return self.outcome is None
 
 
-@dataclass(frozen=True)
-class _PsiContext:
-    """Everything per-message the trial loop needs, computed once."""
-
-    probabilities: tuple[float, ...]
-    corrected: tuple[JonesVector, ...]
-    decoded: tuple[JonesVector, ...]
-    rails: tuple[np.ndarray, ...]
-
-
-def _context(psi: JonesVector) -> _PsiContext:
-    state = alice_transform(preparer_encode(source_state(), psi))
-    table = branch_table(state, photon=1)
-    probabilities = []
-    corrected = []
-    decoded = []
-    for outcome in OUTCOMES:
-        probabilities.append(table.probability(outcome.value))
-        conditional = table.conditional(outcome.value)
-        if conditional is None:
-            raise SimulationError(f"branch {outcome} unexpectedly empty")
-        jones = bob_decode(conditional)
-        decoded.append(jones)
-        corrected.append(apply_correction(jones, correction_plan(outcome)))
-    return _PsiContext(
-        tuple(probabilities),
-        tuple(corrected),
-        tuple(decoded),
-        branch_states_dual_rail(psi),
-    )
-
-
 def run_trials(psi: JonesVector | None, n_trials: int, detector: DetectorModel,
                seed: int, stations: StationConfig) -> list[EventRecord]:
     """Simulate `n_trials` heralded rounds.
 
     psi=None draws a fresh Haar-random message every trial; a fixed psi is
-    analyzed once and reused, which keeps long runs cheap.
+    read off `branch_set` once and reused.
     """
     if n_trials < 1:
         raise SimulationError(f"n_trials must be positive, got {n_trials!r}")
-    fixed_context = _context(psi) if psi is not None else None
+    fixed_branches = branch_set(psi) if psi is not None else None
     records: list[EventRecord] = []
     for trial in range(n_trials):
         rng = trial_stream(seed, trial)
-        if fixed_context is None:
+        if fixed_branches is None:
             message = random_jones(rng)
-            ctx = _context(message)
+            branches = branch_set(message)
         else:
             message = psi
-            ctx = fixed_context
+            branches = fixed_branches
         setting = None
         if stations.verifier in ("merged", "direct"):
             setting = int(rng.integers(1, 5))
-        index = sample_branch_index(ctx.probabilities, detector, rng)
+        index = sample_branch_index(branches.probabilities, detector, rng)
         if index is None:
             records.append(EventRecord(trial, message, None, None, setting, None))
             continue
@@ -231,15 +191,15 @@ def run_trials(psi: JonesVector | None, n_trials: int, detector: DetectorModel,
         passed = None
         if stations.verifier == "parallel":
             axis = stations.axis_override if stations.axis_override is not None else message
-            passed = polarizer_pass(ctx.corrected[index], axis, rng)
+            passed = polarizer_pass(branches.corrected[index], axis, rng)
         elif stations.verifier == "merged":
             assert setting is not None
-            passed = polarizer_pass(ctx.decoded[index], ctx.decoded[setting - 1], rng)
+            passed = polarizer_pass(branches.decoded[index],
+                                    branches.decoded[setting - 1], rng)
         elif stations.verifier == "direct":
             assert setting is not None
-            norm = math.sqrt(float(np.vdot(ctx.rails[setting - 1], ctx.rails[setting - 1]).real))
-            axis = ctx.rails[setting - 1] / norm
-            passed = projection_pass(ctx.rails[index], axis, rng)
+            passed = projection_pass(branches.rails[index],
+                                     branches.rails[setting - 1], rng)
         records.append(
             EventRecord(trial, message, outcome.value, plan, setting, passed)
         )

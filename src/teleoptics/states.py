@@ -108,7 +108,7 @@ class JonesVector:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         nsq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(nsq - 1.0) > NORM_EPS:
+        if not abs(nsq - 1.0) <= NORM_EPS:
             raise NormalizationError(
                 f"|alpha|^2 + |beta|^2 = {nsq!r}, expected 1 within {NORM_EPS}"
             )
@@ -134,7 +134,7 @@ class JonesVector:
         """
         a, b = complex(ar, ai), complex(br, bi)
         nsq = abs(a) ** 2 + abs(b) ** 2
-        if abs(nsq - 1.0) > tol:
+        if not abs(nsq - 1.0) <= tol:
             raise NormalizationError(
                 f"components give |psi|^2 = {nsq!r}, expected 1 within {tol}"
             )
@@ -232,7 +232,7 @@ class JointState:
                 raise RegistryError(f"mode {ket.mode2!r} is not registered to photon 2")
             amps[ket] = value
         nsq = sum(v.real * v.real + v.imag * v.imag for v in amps.values())
-        if nsq > 1.0 + NORM_EPS:
+        if not nsq <= 1.0 + NORM_EPS:
             raise NormalizationError(f"squared norm {nsq!r} exceeds 1 + {NORM_EPS}")
         object.__setattr__(self, "_amps", amps)
         object.__setattr__(self, "registry", registry)
@@ -323,7 +323,7 @@ class PhotonState:
                 raise RegistryError(f"mode {pair[0]!r} is not registered")
             amps[pair] = value
         nsq = sum(v.real * v.real + v.imag * v.imag for v in amps.values())
-        if nsq > 1.0 + NORM_EPS:
+        if not nsq <= 1.0 + NORM_EPS:
             raise NormalizationError(f"squared norm {nsq!r} exceeds 1 + {NORM_EPS}")
         object.__setattr__(self, "_amps", amps)
         object.__setattr__(self, "modes", mode_set)

@@ -10,6 +10,7 @@ from teleoptics.bellmode import (
     DEFAULT_BINNING,
     AliceStrategy,
     BobSetting,
+    CorrelationTable,
     chsh_scan,
     default_scan_config,
     efficiency_report,
@@ -60,6 +61,21 @@ def test_bob_setting_theta_range_enforced():
         BobSetting(-0.1, 0.0)
     with pytest.raises(SimulationError):
         BobSetting(math.pi + 0.1, 0.0)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_non_finite_inputs_are_rejected(bad):
+    with pytest.raises(SimulationError):
+        BobSetting(bad, 0.0)
+    with pytest.raises(SimulationError):
+        BobSetting(1.0, bad)
+    encodings = (JonesVector(1.0, 0.0), JonesVector(0.0, 1.0))
+    with pytest.raises(SimulationError):
+        AliceStrategy(encodings, weights=(bad, 0.5))
+    probabilities = np.full((1, 4, 2), 0.125)
+    probabilities[0, 2, 1] = bad
+    with pytest.raises(SimulationError):
+        CorrelationTable(encodings[:1], BobSetting(1.0, 0.0), probabilities)
 
 
 def test_bob_setting_bloch_vector():

@@ -2,13 +2,19 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import teleoptics
 from teleoptics.cli import main, write_events
 from teleoptics.errors import SimulationError
 from teleoptics.sampling import EventRecord
 
+FIG1 = str(Path(teleoptics.__file__).parent / "circuits" / "fig1.opt")
 JSONL_KEYS = {"trial", "outcome", "correction_c1", "correction_c2",
               "verifier_setting", "passed"}
 CORRECTIONS = {"D1": (False, False), "D2": (False, True),
@@ -232,6 +238,17 @@ def test_dsl_run_missing_file_is_usage_error(tmp_path, capsys):
     ("verify", "--theta", "1.0", "--protocol", "psychic"),
     ("bell-sweep", "--trials", "0"),
     ("bell-sweep", "--etas", "1.5"),
+    ("teleport", "--theta", "1.0", "--phi", "nan"),
+    ("teleport", "--theta", "1.0", "--phi", "inf"),
+    ("teleport", "--theta", "1.0", "--phi", "-inf"),
+    ("teleport", "--theta", "nan"),
+    ("teleport", "--theta", "inf"),
+    ("teleport", "--psi", "nan", "0", "0", "0"),
+    ("teleport", "--psi", "0.6", "0", "inf", "0"),
+    ("verify-direct", "--psi", "0.6", "0", "0.8", "-inf"),
+    ("teleport", "--theta", "1.0", "--seed", "-1"),
+    ("bell-sweep", "--seed", "-1"),
+    ("dsl-run", FIG1, "--trials", "3", "--seed", "-1"),
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -253,6 +270,26 @@ def test_help_lists_flags(capsys, argv, needles):
     assert code == 0
     for needle in needles:
         assert needle in out
+
+
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m teleoptics.cli` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(teleoptics.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "teleoptics.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_runs_without_warnings():
+    result = _run_module("--help")
+    assert result.returncode == 0
+    assert "RuntimeWarning" not in result.stderr
+
+
+def test_negative_seed_is_a_usage_error_without_traceback():
+    result = _run_module("teleport", "--theta", "1", "--seed", "-1")
+    assert result.returncode == 1
+    assert "--seed" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 # ---------------------------------------------------------------- write_events

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from teleoptics import protocol
+from teleoptics.bellmode import AliceStrategy, BobSetting, joint_distribution
 from teleoptics.errors import GuardViolation, SimulationError
 from teleoptics.protocol import (
     BranchTable,
@@ -17,6 +19,7 @@ from teleoptics.protocol import (
     apply_correction,
     bob_decode,
     branch_states_dual_rail,
+    branch_set,
     branch_states_polarization,
     branch_table,
     correction_plan,
@@ -179,3 +182,78 @@ def test_branch_table_on_photon_two():
     assert abs(table.probability("A") - 0.5) < 1e-12
     cond = table.conditional("A")
     assert abs(abs(cond.amplitude(("a", H))) - abs(psi.alpha)) < 1e-12
+
+
+# ------------------------------------------------- compiled maps vs the engine
+
+CROSS_CHECK_MESSAGES = [
+    JonesVector(1.0, 0.0),
+    JonesVector(0.0, 1.0),
+    JonesVector(0.0, -1j),
+    JonesVector(1 / math.sqrt(2), 1j / math.sqrt(2)),
+    JonesVector.from_bloch(1e-9, 0.3),
+    JonesVector.from_bloch(math.pi - 1e-9, 2.0),
+    *haar_states(200, seed=21),
+]
+
+
+def reference_walk(psi):
+    """The guarded sparse engine walked for this one message through the
+    public stages: per click, probability, rails, decoded, corrected."""
+    table = branch_table(analyzed(psi))
+    walk = []
+    for out in OUTCOMES:
+        conditional = table.conditional(out.value)
+        decoded = bob_decode(conditional)
+        walk.append((table.probability(out.value),
+                     conditional.direction_vector("a'", "b'"),
+                     decoded,
+                     apply_correction(decoded, correction_plan(out))))
+    return walk
+
+
+def jones_gap(first, second):
+    return max(abs(first.alpha - second.alpha), abs(first.beta - second.beta))
+
+
+def test_branch_set_teleport_exact_and_joint_distribution_match_the_engine():
+    setting = BobSetting(1.1, 0.4)
+    plus, minus = setting.basis()
+    for psi in CROSS_CHECK_MESSAGES:
+        walk = reference_walk(psi)
+        branches = branch_set(psi)
+        exact = teleport_exact(psi)
+        joint = joint_distribution(AliceStrategy((psi,)), setting).probabilities[0]
+        for out, (p, rails, decoded, corrected) in zip(OUTCOMES, walk):
+            k = out.index
+            assert abs(branches.probabilities[k] - p) < 1e-12
+            assert np.max(np.abs(branches.rails[k] - rails)) < 1e-12
+            assert jones_gap(branches.decoded[k], decoded) < 1e-12
+            assert jones_gap(branches.corrected[k], corrected) < 1e-12
+            assert abs(exact[out].probability - p) < 1e-12
+            assert jones_gap(exact[out].final, corrected) < 1e-12
+            assert abs(exact[out].fidelity - corrected.fidelity(psi)) < 1e-12
+            assert abs(joint[k, 0] - p * abs(np.vdot(plus, rails)) ** 2) < 1e-12
+            assert abs(joint[k, 1] - p * abs(np.vdot(minus, rails)) ** 2) < 1e-12
+
+
+@pytest.fixture
+def fresh_compile():
+    protocol._compiled_maps.cache_clear()
+    yield
+    protocol._compiled_maps.cache_clear()
+
+
+def test_compile_runs_the_engine_guards(fresh_compile, monkeypatch):
+    """Without the rotator on beam 1, detector 1' sees H from beam 4 and V
+    from beam 1 only when both message components are non-zero, so the
+    guard can only fire on the compile's generic message."""
+    analyzer = protocol.alice_analyzer
+
+    def analyzer_without_rotator():
+        return tuple(element for element in analyzer()
+                     if {mode for mode, _ in element.input_basis} != {"1"})
+
+    monkeypatch.setattr(protocol, "alice_analyzer", analyzer_without_rotator)
+    with pytest.raises(GuardViolation):
+        teleport_exact(JonesVector(1.0, 0.0))

@@ -1,11 +1,15 @@
 """Event sampling: determinism, loss model, calibration, verifier draws."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import teleoptics
+from teleoptics.bellmode import chsh_scan, default_scan_config
+from teleoptics.dsl import compile_and_run, parse
 from teleoptics.errors import SimulationError
 from teleoptics.protocol import OUTCOMES, OutcomeId, branch_table, alice_transform, \
     preparer_encode, source_state
@@ -79,6 +83,29 @@ def test_sampler_loss_rate_within_five_sigma():
 def test_sampler_rejects_bad_probability_sum():
     with pytest.raises(SimulationError):
         sample_branch_index((0.5, 0.1), DetectorModel(1.0), trial_stream(0, 0))
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_sampler_rejects_non_finite_probabilities(bad):
+    for pmf in ((0.25, 0.25, 0.25, bad), (bad, 0.25, 0.25, 0.25), (1.0, bad)):
+        with pytest.raises(SimulationError):
+            sample_branch_index(pmf, DetectorModel(1.0), trial_stream(0, 0))
+
+
+def test_negative_seed_or_trial_index_is_rejected_by_every_trial_loop():
+    with pytest.raises(SimulationError):
+        trial_stream(-1, 0)
+    with pytest.raises(SimulationError):
+        trial_stream(0, -1)
+    with pytest.raises(SimulationError):
+        run_trials(JonesVector(1.0, 0.0), 5, DetectorModel(1.0), -1, StationConfig())
+    config = default_scan_config(trials=5)
+    with pytest.raises(SimulationError):
+        chsh_scan(config.encodings, config.settings, n_trials=5, seed=-1)
+    fig1 = Path(teleoptics.__file__).parent / "circuits" / "fig1.opt"
+    program = parse(fig1.read_text(encoding="utf-8")).program
+    with pytest.raises(SimulationError):
+        compile_and_run(program, trials=5, seed=-1)
 
 
 def test_sample_outcome_returns_outcome_ids():

@@ -41,6 +41,23 @@ def test_jones_rejects_unnormalized():
         JonesVector(0.9, 0.9)
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_jones_rejects_non_finite_components(bad):
+    with pytest.raises(NormalizationError):
+        JonesVector(bad, 0.0)
+    with pytest.raises(NormalizationError):
+        JonesVector(0.6, complex(0.8, bad))
+    with pytest.raises(NormalizationError):
+        JonesVector.from_components(bad, 0.0, 0.0, 0.0)
+    with pytest.raises(NormalizationError):
+        JonesVector.from_components(0.6, 0.0, 0.8, bad)
+    with pytest.raises(NormalizationError):
+        JonesVector.from_bloch(1.0, math.nan)
+
+
 def test_from_bloch_poles_and_equator():
     assert JonesVector.from_bloch(0.0, 0.3).alpha == 1.0
     pole = JonesVector.from_bloch(math.pi, 0.0)
@@ -167,6 +184,19 @@ def test_joint_state_rejects_norm_above_one():
     reg = ModeRegistry(frozenset(["a"]), frozenset(["c"]))
     with pytest.raises(NormalizationError):
         JointState({("a", H, "c", H): 1.0, ("a", V, "c", H): 0.5}, reg)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_joint_and_photon_states_reject_non_finite_amplitudes(bad):
+    reg = ModeRegistry(frozenset(["a"]), frozenset(["c"]))
+    with pytest.raises(NormalizationError):
+        JointState({("a", H, "c", H): bad}, reg)
+    with pytest.raises(NormalizationError):
+        JointState({("a", H, "c", H): 0.6, ("a", V, "c", H): complex(0.0, bad)}, reg)
+    with pytest.raises(NormalizationError):
+        PhotonState({("a", H): bad}, {"a"})
+    with pytest.raises(NormalizationError):
+        PhotonState({("a", H): 0.6, ("a", V): complex(bad, 0.0)}, {"a"})
 
 
 def test_joint_state_is_immutable():
