@@ -86,13 +86,11 @@ from .protocol import (
 from .sampling import (
     DetectorModel,
     EventRecord,
-    RandomStream,
     StationConfig,
     outcome_counts,
     polarizer_pass,
     run_trials,
     sample_branch_index,
-    sample_outcome,
     trial_stream,
 )
 from .states import (
@@ -109,7 +107,6 @@ from .states import (
 from .verification import (
     CellStats,
     SubensembleReport,
-    VARIANTS,
     build_report,
     expected_rate_table,
     overlap_table,

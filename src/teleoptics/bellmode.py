@@ -19,33 +19,20 @@ import numpy as np
 
 from .errors import SimulationError
 from .protocol import OUTCOMES, OutcomeId, branch_set, branch_states_dual_rail
-from .sampling import trial_stream
+from .sampling import DetectorModel, sample_trials, uniform_grid
 from .states import JonesVector
 
 
 @dataclass(frozen=True)
 class AliceStrategy:
-    """Finite menu of encodings with selection weights (uniform by default)."""
+    """Finite menu of encodings."""
 
     encodings: tuple[JonesVector, ...]
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.encodings:
             raise SimulationError("strategy needs at least one encoding")
         object.__setattr__(self, "encodings", tuple(self.encodings))
-        if self.weights is None:
-            uniform = 1.0 / len(self.encodings)
-            object.__setattr__(self, "weights", (uniform,) * len(self.encodings))
-        else:
-            weights = tuple(float(w) for w in self.weights)
-            if len(weights) != len(self.encodings):
-                raise SimulationError("one weight per encoding required")
-            if any(w < 0.0 for w in weights):
-                raise SimulationError("weights must be non-negative")
-            if not abs(sum(weights) - 1.0) <= 1e-12:
-                raise SimulationError(f"weights sum to {sum(weights)!r}, expected 1")
-            object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -98,14 +85,12 @@ class CorrelationTable:
     """Joint click/axis statistics, one row block per encoding.
 
     probabilities[i, k, b] = P(click k, axis outcome b | encoding i), with
-    b=0 the plus outcome; each encoding block sums to 1. `counts` carries
-    empirical tallies of identical shape when sampling produced the table.
+    b=0 the plus outcome; each encoding block sums to 1.
     """
 
     encodings: tuple[JonesVector, ...]
     setting: BobSetting
     probabilities: np.ndarray
-    counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         probabilities = np.array(self.probabilities, dtype=float)
@@ -235,17 +220,14 @@ def chsh_scan(encodings: Sequence[JonesVector], settings: Sequence[BobSetting],
 
     `binning` is one click->sign map shared by both encodings, or a pair of
     maps applied per encoding. Trials draw the encoding and setting
-    uniformly; lost trials are discarded from the post-selected statistics
-    and counted in the coincidence rate. One draw layout per trial
-    (encoding, setting, loss, cell) keeps kept-trial sets nested across
-    efficiency values run under one seed.
+    uniformly, then a cell of that pair's (click, axis outcome) pmf, through
+    the trial loop and draw order of `teleoptics.sampling`; lost trials are
+    discarded from the post-selected statistics and counted in the
+    coincidence rate.
     """
     if len(encodings) != 2 or len(settings) != 2:
         raise SimulationError("chsh_scan takes exactly two encodings and two settings")
-    if not 0.0 <= eta <= 1.0:
-        raise SimulationError(f"eta must lie in [0, 1], got {eta!r}")
-    if n_trials < 1:
-        raise SimulationError(f"n_trials must be positive, got {n_trials!r}")
+    detector = DetectorModel(eta)
     signs = _binning_pair(binning)
 
     pmf = np.empty((2, 2, 8))
@@ -261,20 +243,13 @@ def chsh_scan(encodings: Sequence[JonesVector], settings: Sequence[BobSetting],
             exact[i, j] = float(pmf[i, j] @ cell_signs[i])
     exact_s = float(exact[0, 0] + exact[0, 1] + exact[1, 0] - exact[1, 1])
 
-    cumulative = np.cumsum(pmf, axis=2)
     counts = np.zeros((2, 2, 8), dtype=np.int64)
     n_kept = 0
-    for trial in range(n_trials):
-        rng = trial_stream(seed, trial)
-        i = int(rng.integers(2))
-        j = int(rng.integers(2))
-        lost = float(rng.random()) >= eta
-        u = float(rng.random())
-        if lost:
-            continue
-        n_kept += 1
-        cell = int(np.searchsorted(cumulative[i, j], u, side="right"))
-        counts[i, j, min(cell, 7)] += 1
+    for _, (i, j), cell, _ in sample_trials(seed, n_trials, detector,
+                                            uniform_grid(pmf.tolist())):
+        if cell is not None:
+            n_kept += 1
+            counts[i, j, cell] += 1
 
     empirical = np.full((2, 2), np.nan)
     variance = 0.0

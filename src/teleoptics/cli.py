@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from .bellmode import default_scan_config, efficiency_report
-from .dsl import CircuitRuntimeError, compile_and_run, parse
+from .dsl import compile_and_run, parse
 from .errors import SimulationError
 from .events import fmt17, write_events
 from .protocol import OUTCOMES, teleport_exact
@@ -252,9 +252,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except CircuitRuntimeError as exc:
-        print(f"runtime guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
     except SimulationError as exc:
         print(f"runtime guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

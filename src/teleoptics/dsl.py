@@ -38,13 +38,7 @@ from typing import Iterable, Sequence
 from .elements import ElementSpec
 from .errors import NormalizationError, SimulationError
 from .protocol import BranchTable, branch_table
-from .sampling import (
-    DetectorModel,
-    EventRecord,
-    polarizer_pass,
-    sample_branch_index,
-    trial_stream,
-)
+from .sampling import DetectorModel, EventRecord, pass_probability, sample_trials
 from .states import JointState, JonesVector, ModeRegistry, PhotonState, make_pair_state
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -530,7 +524,8 @@ class RunResult:
 
 def compile_and_run(program: CircuitProgram, trials: int = 0, seed: int = 0,
                     eta: float = 1.0) -> RunResult:
-    """Execute a validated program; optionally sample detection events."""
+    """Execute a validated program; with `trials`, sample detection events
+    through the trial loop and draw order of `teleoptics.sampling`."""
     registry = ModeRegistry()
     state: JointState | None = None
     table = None
@@ -584,31 +579,22 @@ def compile_and_run(program: CircuitProgram, trials: int = 0, seed: int = 0,
     if detect_stmt is None:
         return RunResult(state, None, None, None, ())
 
-    pol_states: list[JonesVector | None] = []
+    passes: list[float | None] = [None] * len(conditionals)
     if polarizer is not None:
-        for conditional in conditionals:
-            if conditional is None:
-                pol_states.append(None)
-            else:
-                pol_states.append(guard(
-                    polarizer.line,
-                    lambda c=conditional: c.to_jones(polarizer.mode)))
+        axis = polarizer.axis.as_array()
+        for index, conditional in enumerate(conditionals):
+            if conditional is not None:
+                state = guard(polarizer.line,
+                              lambda c=conditional: c.to_jones(polarizer.mode))
+                passes[index] = pass_probability(state.as_array(), axis)
 
     records: list[EventRecord] = []
-    if trials > 0:
-        detector = DetectorModel(eta)
+    if trials:
         labels = [label for _, label in detect_stmt.bindings]
         probabilities = table.probabilities
-        for trial in range(trials):
-            rng = trial_stream(seed, trial)
-            index = sample_branch_index(probabilities, detector, rng)
-            if index is None:
-                records.append(EventRecord(trial, None, None, None, None, None))
-                continue
-            passed = None
-            if polarizer is not None and pol_states[index] is not None:
-                passed = polarizer_pass(pol_states[index], polarizer.axis, rng)
-            records.append(
-                EventRecord(trial, None, labels[index], None, None, passed)
-            )
+        for trial, _, index, passed in sample_trials(
+                seed, trials, DetectorModel(eta), lambda rng: (None, probabilities),
+                lambda context, index: passes[index]):
+            outcome = None if index is None else labels[index]
+            records.append(EventRecord(trial, None, outcome, None, None, passed))
     return RunResult(None, pre_detection, table, tuple(conditionals), tuple(records))

@@ -1,20 +1,27 @@
 """Trial-level Monte Carlo over analyzer outcomes, loss, and polarizer checks.
 
-Randomness discipline: every trial owns a child stream spawned from the run
-seed and the trial index, so results are independent of execution order and
-identical across processes. Within a trial the draw order is fixed:
-message (if random), verifier setting (if random), loss, outcome, polarizer.
+`sample_trials` is the package's one trial loop: `run_trials`, the CHSH
+scan and the circuit runtime all draw through it, and no other module
+spawns or draws from a trial stream. Each trial owns a child stream spawned
+from the run seed and the trial index, so results depend on neither
+execution order nor process. Within a trial the draw order is fixed: the
+caller's pre-draws (message if random, then verifier setting if random; or
+the CHSH encoding, then setting), loss, cell, and, on a kept trial whose
+station checks it, one polarizer draw. Loss and cell are drawn on every
+trial, so kept-trial sets nest as efficiency falls under one seed.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import SimulationError
-from .protocol import CorrectionPlan, OUTCOMES, OutcomeId, branch_set, correction_plan
+from .protocol import BranchSet, CorrectionPlan, OUTCOMES, branch_set, correction_plan
 from .states import JonesVector, random_jones
 
 #: Pass probabilities this close to 0 or 1 are snapped exact, so analytically
@@ -35,17 +42,15 @@ class DetectorModel:
             )
 
 
-@dataclass(frozen=True)
-class RandomStream:
-    """Named substream: (seed, index) -> independent generator."""
-
-    seed: int
-    index: int
-
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(self.index,)))
-        )
+def _whole(name: str, value, minimum: int) -> int:
+    """`value` as a Python int of at least `minimum`; numpy integers pass."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise SimulationError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise SimulationError(f"{name} must be at least {minimum}, got {value!r}")
+    return value
 
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
@@ -54,7 +59,8 @@ def trial_stream(seed: int, trial: int) -> np.random.Generator:
     if seed < 0 or trial < 0:
         raise SimulationError(
             f"seed and trial index must be non-negative, got {seed!r}, {trial!r}")
-    return RandomStream(seed, trial).generator()
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(trial,))))
 
 
 def _snap(p: float) -> float:
@@ -68,13 +74,8 @@ def _snap(p: float) -> float:
 def sample_branch_index(probabilities: Sequence[float],
                         detector: DetectorModel,
                         rng: np.random.Generator) -> int | None:
-    """Loss draw, then a categorical draw over branch indices.
-
-    Returns None on loss. Both draws happen unconditionally and in this
-    order, so the stream state after a trial is identical for every
-    efficiency value; that is what makes kept-trial sets nest as
-    efficiency falls under a common seed.
-    """
+    """Loss draw, then a categorical draw over branch indices; None on loss.
+    Both draws are taken on every call."""
     lost = float(rng.random()) >= detector.efficiency
     u = float(rng.random())
     if lost:
@@ -90,25 +91,48 @@ def sample_branch_index(probabilities: Sequence[float],
     return len(probabilities) - 1
 
 
-def sample_outcome(table, detector: DetectorModel,
-                   rng: np.random.Generator) -> OutcomeId | None:
-    """Sample one detector click from a branch table; None means lost."""
-    index = sample_branch_index(table.probabilities, detector, rng)
-    if index is None:
-        return None
-    return OutcomeId(table.labels[index])
-
-
-def projection_pass(state: np.ndarray, axis: np.ndarray,
-                    rng: np.random.Generator) -> bool:
-    """Bernoulli draw for a projective check of `state` onto `axis`."""
-    p = _snap(abs(complex(np.vdot(axis, state))) ** 2)
-    return bool(rng.random() < p)
+def pass_probability(state: np.ndarray, axis: np.ndarray) -> float:
+    """Probability that `state` passes a projective check onto `axis`."""
+    return abs(complex(np.vdot(axis, state))) ** 2
 
 
 def polarizer_pass(state: JonesVector, axis: JonesVector,
                    rng: np.random.Generator) -> bool:
-    return projection_pass(state.as_array(), axis.as_array(), rng)
+    """Bernoulli draw for a polarizer along `axis` checking `state`."""
+    return bool(rng.random() < _snap(pass_probability(state.as_array(), axis.as_array())))
+
+
+def sample_trials(seed: int, n_trials: int, detector: DetectorModel,
+                  setup: Callable, check: Callable | None = None) -> Iterator[tuple]:
+    """The trial loop, in the draw order above; yields (trial, context,
+    branch index or None if lost, passed or None if unchecked).
+
+    `setup(rng)` makes the caller's pre-draws and returns (context, branch
+    pmf); `check(context, index)` gives a kept trial's pass probability, or
+    None for no check.
+    """
+    seed = _whole("seed", seed, 0)
+    n_trials = _whole("n_trials", n_trials, 1)
+    for trial in range(n_trials):
+        rng = trial_stream(seed, trial)
+        context, probabilities = setup(rng)
+        index = sample_branch_index(probabilities, detector, rng)
+        passed = None
+        if index is not None and check is not None:
+            p = check(context, index)
+            if p is not None:
+                passed = bool(rng.random() < _snap(p))
+        yield trial, context, index, passed
+
+
+def uniform_grid(pmfs: Sequence[Sequence[Sequence[float]]]) -> Callable:
+    """A setup drawing a row, then a column, uniformly from a grid of pmfs;
+    the context is (row, column)."""
+    def setup(rng: np.random.Generator):
+        i = int(rng.integers(len(pmfs)))
+        j = int(rng.integers(len(pmfs[i])))
+        return (i, j), pmfs[i][j]
+    return setup
 
 
 @dataclass(frozen=True)
@@ -136,6 +160,9 @@ class StationConfig:
                 f"verifier {self.verifier!r} watches uncorrected states; "
                 "disable correction"
             )
+        if self.verifier == "parallel" and not self.correction:
+            raise SimulationError(
+                "verifier 'parallel' checks the corrected state; enable correction")
         if self.axis_override is not None and self.verifier != "parallel":
             raise SimulationError("axis_override applies to the parallel verifier only")
 
@@ -160,49 +187,56 @@ class EventRecord:
         return self.outcome is None
 
 
+def _pass_probability(stations: StationConfig, message: JonesVector,
+                      branches: BranchSet, setting: int | None,
+                      index: int) -> float:
+    """Pass probability of the check a kept trial meets at its station."""
+    if stations.verifier == "parallel":
+        axis = message if stations.axis_override is None else stations.axis_override
+        return pass_probability(branches.corrected[index].as_array(), axis.as_array())
+    if stations.verifier == "merged":
+        return pass_probability(branches.decoded[index].as_array(),
+                                branches.decoded[setting - 1].as_array())
+    return pass_probability(branches.rails[index], branches.rails[setting - 1])
+
+
 def run_trials(psi: JonesVector | None, n_trials: int, detector: DetectorModel,
                seed: int, stations: StationConfig) -> list[EventRecord]:
     """Simulate `n_trials` heralded rounds.
 
     psi=None draws a fresh Haar-random message every trial; a fixed psi is
-    read off `branch_set` once and reused.
+    read off `branch_set` once and reused, as is each of its checks' pass
+    probability.
     """
-    if n_trials < 1:
-        raise SimulationError(f"n_trials must be positive, got {n_trials!r}")
-    fixed_branches = branch_set(psi) if psi is not None else None
+    fixed = None if psi is None else branch_set(psi)
+    draws_setting = stations.verifier in ("merged", "direct")
+
+    def setup(rng: np.random.Generator):
+        message = psi if fixed is not None else random_jones(rng)
+        branches = fixed if fixed is not None else branch_set(message)
+        setting = int(rng.integers(1, 5)) if draws_setting else None
+        return (message, branches, setting), branches.probabilities
+
+    def check(context, index: int) -> float:
+        return _pass_probability(stations, *context, index)
+
+    if fixed is not None:
+        # A fixed message meets at most 16 distinct checks; compute each once.
+        fixed_pass = functools.cache(
+            lambda setting, index: _pass_probability(stations, psi, fixed, setting, index))
+
+        def check(context, index: int) -> float:
+            return fixed_pass(context[2], index)
+
     records: list[EventRecord] = []
-    for trial in range(n_trials):
-        rng = trial_stream(seed, trial)
-        if fixed_branches is None:
-            message = random_jones(rng)
-            branches = branch_set(message)
-        else:
-            message = psi
-            branches = fixed_branches
-        setting = None
-        if stations.verifier in ("merged", "direct"):
-            setting = int(rng.integers(1, 5))
-        index = sample_branch_index(branches.probabilities, detector, rng)
+    for trial, (message, _, setting), index, passed in sample_trials(
+            seed, n_trials, detector, setup, check if stations.verifier else None):
         if index is None:
             records.append(EventRecord(trial, message, None, None, setting, None))
             continue
         outcome = OUTCOMES[index]
         plan = correction_plan(outcome) if stations.correction else None
-        passed = None
-        if stations.verifier == "parallel":
-            axis = stations.axis_override if stations.axis_override is not None else message
-            passed = polarizer_pass(branches.corrected[index], axis, rng)
-        elif stations.verifier == "merged":
-            assert setting is not None
-            passed = polarizer_pass(branches.decoded[index],
-                                    branches.decoded[setting - 1], rng)
-        elif stations.verifier == "direct":
-            assert setting is not None
-            passed = projection_pass(branches.rails[index],
-                                     branches.rails[setting - 1], rng)
-        records.append(
-            EventRecord(trial, message, outcome.value, plan, setting, passed)
-        )
+        records.append(EventRecord(trial, message, outcome.value, plan, setting, passed))
     return records
 
 

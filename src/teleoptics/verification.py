@@ -30,8 +30,6 @@ from .protocol import (
 from .sampling import DetectorModel, EventRecord, StationConfig, run_trials
 from .states import JonesVector
 
-VARIANTS = ("full", "merged", "direct")
-
 #: Cell key for runs without a per-trial setting (the full protocol).
 NO_SETTING = 0
 
@@ -125,16 +123,11 @@ def expected_rate_table(psi: JonesVector, variant: str) -> np.ndarray:
 
 def _station_config(variant: str,
                     axis_override: JonesVector | None) -> StationConfig:
-    if variant == "full":
-        return StationConfig(correction=True, verifier="parallel",
-                             axis_override=axis_override)
-    if axis_override is not None:
-        raise SimulationError("axis_override applies to the full variant only")
-    if variant == "merged":
-        return StationConfig(correction=False, verifier="merged")
-    if variant == "direct":
-        return StationConfig(correction=False, verifier="direct")
-    raise SimulationError(f"unknown variant {variant!r}")
+    verifiers = {"full": "parallel", "merged": "merged", "direct": "direct"}
+    if variant not in verifiers:
+        raise SimulationError(f"unknown variant {variant!r}")
+    return StationConfig(correction=variant == "full", verifier=verifiers[variant],
+                         axis_override=axis_override)
 
 
 def build_report(variant: str, records: Sequence[EventRecord]) -> SubensembleReport:

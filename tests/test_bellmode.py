@@ -32,22 +32,6 @@ SQRT_HALF = 1 / math.sqrt(2)
 # ---------------------------------------------------------------- strategy types
 
 
-def test_alice_strategy_defaults_to_uniform_weights():
-    encodings = (JonesVector(1.0, 0.0), JonesVector(0.0, 1.0))
-    strategy = AliceStrategy(encodings)
-    assert strategy.weights == (0.5, 0.5)
-
-
-def test_alice_strategy_rejects_bad_weights():
-    encodings = (JonesVector(1.0, 0.0), JonesVector(0.0, 1.0))
-    with pytest.raises(SimulationError):
-        AliceStrategy(encodings, weights=(0.3, 0.3))
-    with pytest.raises(SimulationError):
-        AliceStrategy(encodings, weights=(-0.1, 1.1))
-    with pytest.raises(SimulationError):
-        AliceStrategy(encodings, weights=(1.0,))
-
-
 def test_bob_setting_basis_is_orthonormal():
     setting = BobSetting(1.1, 0.4)
     plus, minus = setting.basis()
@@ -70,8 +54,6 @@ def test_non_finite_inputs_are_rejected(bad):
     with pytest.raises(SimulationError):
         BobSetting(1.0, bad)
     encodings = (JonesVector(1.0, 0.0), JonesVector(0.0, 1.0))
-    with pytest.raises(SimulationError):
-        AliceStrategy(encodings, weights=(bad, 0.5))
     probabilities = np.full((1, 4, 2), 0.125)
     probabilities[0, 2, 1] = bad
     with pytest.raises(SimulationError):

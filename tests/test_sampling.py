@@ -11,8 +11,7 @@ import teleoptics
 from teleoptics.bellmode import chsh_scan, default_scan_config
 from teleoptics.dsl import compile_and_run, parse
 from teleoptics.errors import SimulationError
-from teleoptics.protocol import OUTCOMES, OutcomeId, branch_table, alice_transform, \
-    preparer_encode, source_state
+from teleoptics.protocol import OUTCOMES
 from teleoptics.sampling import (
     DetectorModel,
     EventRecord,
@@ -21,7 +20,6 @@ from teleoptics.sampling import (
     polarizer_pass,
     run_trials,
     sample_branch_index,
-    sample_outcome,
     trial_stream,
 )
 from teleoptics.states import JonesVector
@@ -106,16 +104,15 @@ def test_negative_seed_or_trial_index_is_rejected_by_every_trial_loop():
     program = parse(fig1.read_text(encoding="utf-8")).program
     with pytest.raises(SimulationError):
         compile_and_run(program, trials=5, seed=-1)
-
-
-def test_sample_outcome_returns_outcome_ids():
-    psi = JonesVector.from_bloch(1.1, 0.4)
-    table = branch_table(alice_transform(preparer_encode(source_state(), psi)))
-    seen = {
-        sample_outcome(table, DetectorModel(1.0), trial_stream(5, t))
-        for t in range(200)
-    }
-    assert seen == set(OUTCOMES)
+    psi = JonesVector(1.0, 0.0)
+    with pytest.raises(SimulationError):
+        run_trials(psi, 1.5, DetectorModel(1.0), 0, StationConfig())
+    with pytest.raises(SimulationError):
+        run_trials(psi, 5, DetectorModel(1.0), 1.5, StationConfig())
+    with pytest.raises(SimulationError):
+        chsh_scan(config.encodings, config.settings, n_trials=2.5)
+    with pytest.raises(SimulationError):
+        compile_and_run(program, trials=2.5)
 
 
 def test_polarizer_pass_certainty_and_malus():
@@ -139,6 +136,8 @@ def test_run_trials_is_deterministic(generic_psi):
     first = run_trials(generic_psi, **kwargs)
     second = run_trials(generic_psi, **kwargs)
     assert first == second
+    kwargs.update(n_trials=np.int64(300), seed=np.uint32(99))
+    assert run_trials(generic_psi, **kwargs) == first
     assert [r.trial for r in first] == list(range(300))
 
 
@@ -193,6 +192,8 @@ def test_station_config_validation():
     with pytest.raises(SimulationError):
         StationConfig(correction=False, verifier="direct",
                       axis_override=JonesVector(1.0, 0.0))
+    with pytest.raises(SimulationError):
+        StationConfig(correction=False, verifier="parallel")
 
 
 def test_event_record_invariant():

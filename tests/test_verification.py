@@ -92,6 +92,12 @@ def test_verify_full_orthogonal_override_never_passes():
     assert report.matched_pass_rate() == 0.0
 
 
+def test_axis_override_is_rejected_outside_the_full_variant(generic_psi):
+    with pytest.raises(SimulationError):
+        run_verification(generic_psi, 10, 1.0, 0, "merged",
+                         axis_override=JonesVector(0.0, 1.0))
+
+
 def test_verify_nonlocal_matched_cells_certain(generic_psi):
     report = verify_nonlocal(generic_psi, 10_000, 1.0, 34)
     for key in report.matched_cells():
