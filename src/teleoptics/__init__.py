@@ -9,6 +9,8 @@ subensembles, runs a correlation (Bell-type) mode, and executes circuit
 files written in a small optical-table language.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bellmode import (
     AliceStrategy,
     BINNING_CLASSES,
@@ -119,4 +121,5 @@ from .verification import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

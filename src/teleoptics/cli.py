@@ -81,7 +81,7 @@ def _psi_from_args(parser: argparse.ArgumentParser,
         parser.error("one of --theta or --psi is required")
     try:
         return JonesVector.from_bloch(args.theta, args.phi or 0.0)
-    except (ValueError, SimulationError) as exc:
+    except SimulationError as exc:
         parser.error(f"--theta/--phi: {exc}")
     raise AssertionError("unreachable")
 

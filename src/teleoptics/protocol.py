@@ -186,50 +186,25 @@ def branch_table(state: JointState, photon: int = 1,
     """
     if bindings is None:
         bindings = {mode: out.value for mode, out in zip(DETECTOR_MODES, OUTCOMES)}
-    if photon == 1:
-        def mode_of(ket):
-            return ket.mode1
-
-        def partner(ket):
-            return (ket.mode2, ket.pol2)
-
-        def pol_of(ket):
-            return ket.pol1
-
-        partner_modes = state.registry.photon2
-    elif photon == 2:
-        def mode_of(ket):
-            return ket.mode2
-
-        def partner(ket):
-            return (ket.mode1, ket.pol1)
-
-        def pol_of(ket):
-            return ket.pol2
-
-        partner_modes = state.registry.photon1
-    else:
-        raise ValueError(f"photon must be 1 or 2, got {photon!r}")
-
+    state.registry.modes(photon)  # rejects a photon other than 1 or 2
+    lo, partner_lo = (0, 2) if photon == 1 else (2, 0)
+    partner_modes = state.registry.modes(3 - photon)
     for ket, _ in state.items():
-        if mode_of(ket) not in bindings:
-            raise GuardViolation(
-                f"mode {mode_of(ket)!r} holds amplitude but has no detector"
-            )
+        if ket[lo] not in bindings:
+            raise GuardViolation(f"mode {ket[lo]!r} holds amplitude but has no detector")
 
     labels = []
     probabilities = []
     conditionals: list[PhotonState | None] = []
     for mode, label in bindings.items():
-        pols = {pol_of(ket) for ket, _ in state.items() if mode_of(ket) == mode}
+        pols = {ket[lo + 1] for ket, _ in state.items() if ket[lo] == mode}
         if len(pols) > 1:
             raise GuardViolation(
                 f"detector on {mode!r} would trace over polarization; "
                 "split or rotate it away first"
             )
-        amps = {
-            partner(ket): amp for ket, amp in state.items() if mode_of(ket) == mode
-        }
+        amps = {ket[partner_lo:partner_lo + 2]: amp
+                for ket, amp in state.items() if ket[lo] == mode}
         weight = sum(v.real * v.real + v.imag * v.imag for v in amps.values())
         labels.append(label)
         probabilities.append(float(weight))

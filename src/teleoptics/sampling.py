@@ -55,10 +55,8 @@ def _whole(name: str, value, minimum: int) -> int:
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
     """The child stream of trial `trial` under run seed `seed`; both must
-    be non-negative."""
-    if seed < 0 or trial < 0:
-        raise SimulationError(
-            f"seed and trial index must be non-negative, got {seed!r}, {trial!r}")
+    be non-negative integers."""
+    seed, trial = _whole("seed", seed, 0), _whole("trial", trial, 0)
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(trial,))))
 
@@ -111,7 +109,6 @@ def sample_trials(seed: int, n_trials: int, detector: DetectorModel,
     pmf); `check(context, index)` gives a kept trial's pass probability, or
     None for no check.
     """
-    seed = _whole("seed", seed, 0)
     n_trials = _whole("n_trials", n_trials, 1)
     for trial in range(n_trials):
         rng = trial_stream(seed, trial)

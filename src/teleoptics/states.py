@@ -1,10 +1,12 @@
-"""Sparse two-photon states over (spatial mode, polarization) pairs.
+"""Sparse one- and two-photon states over (spatial mode, polarization) slots.
 
-Every state is an immutable value: transformations return new objects, so
-states are safe to share across threads and to memoize. Amplitudes live in
-a sparse map keyed by basis kets, which keeps desk-scale superpositions
-exact and easy to inspect. Iteration order is fixed (kets sort ascending),
-so repeated runs produce bit-for-bit identical results.
+One private container, `_SparseAmplitudes`, stores, validates, compares and
+contracts every sparse amplitude map. A key is a tuple of per-photon
+(mode, polarization) slots: photon p of a two-photon `BasisKet` sits at
+key[2p - 2 : 2p], and a one-photon key is a single slot, so elements address
+a photon by its slot offset. States are immutable values, safe to share and
+memoize, and keys iterate in ascending order, so runs are bit-for-bit
+repeatable.
 """
 
 from __future__ import annotations
@@ -12,15 +14,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import GuardViolation, NormalizationError, RegistryError
+from .errors import GuardViolation, NormalizationError, RegistryError, SimulationError
 
 #: Amplitudes below this magnitude are dropped after each construction;
 #: this removes exact-arithmetic zeros contaminated by rounding.
 PRUNE_EPS = 1e-15
+_PRUNE_SQ = PRUNE_EPS * PRUNE_EPS
 
 #: Tolerance when validating caller-supplied normalized quantities.
 NORM_EPS = 1e-9
@@ -46,11 +50,6 @@ V = Polarization.V
 ModePol = tuple[str, Polarization]
 
 
-def _check_photon(photon: int) -> None:
-    if photon not in (1, 2):
-        raise ValueError(f"photon must be 1 or 2, got {photon!r}")
-
-
 @dataclass(frozen=True)
 class ModeRegistry:
     """Per-photon sets of valid spatial mode names. Append-only: elements
@@ -60,21 +59,23 @@ class ModeRegistry:
     photon2: frozenset[str] = frozenset()
 
     def modes(self, photon: int) -> frozenset[str]:
-        _check_photon(photon)
-        return self.photon1 if photon == 1 else self.photon2
+        if photon == 1:
+            return self.photon1
+        if photon == 2:
+            return self.photon2
+        raise RegistryError(f"photon must be 1 or 2, got {photon!r}")
 
     def has(self, photon: int, mode: str) -> bool:
         return mode in self.modes(photon)
 
     def with_modes(self, photon: int, names: Iterable[str]) -> "ModeRegistry":
         added = frozenset(str(n) for n in names)
-        for name in added:
-            if not name:
-                raise RegistryError("mode names must be non-empty")
-        _check_photon(photon)
+        if "" in added:
+            raise RegistryError("mode names must be non-empty")
+        grown = self.modes(photon) | added
         if photon == 1:
-            return ModeRegistry(self.photon1 | added, self.photon2)
-        return ModeRegistry(self.photon1, self.photon2 | added)
+            return ModeRegistry(grown, self.photon2)
+        return ModeRegistry(self.photon1, grown)
 
 
 class BasisKet(NamedTuple):
@@ -84,13 +85,6 @@ class BasisKet(NamedTuple):
     pol1: Polarization
     mode2: str
     pol2: Polarization
-
-
-def _coerce_ket(key) -> BasisKet:
-    if isinstance(key, BasisKet):
-        return key
-    m1, p1, m2, p2 = key
-    return BasisKet(str(m1), Polarization(p1), str(m2), Polarization(p2))
 
 
 @dataclass(frozen=True)
@@ -107,7 +101,8 @@ class JonesVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        nsq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        a, b = self.alpha, self.beta
+        nsq = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
         if not abs(nsq - 1.0) <= NORM_EPS:
             raise NormalizationError(
                 f"|alpha|^2 + |beta|^2 = {nsq!r}, expected 1 within {NORM_EPS}"
@@ -117,7 +112,9 @@ class JonesVector:
     def from_bloch(cls, theta: float, phi: float) -> "JonesVector":
         """cos(theta/2)|H> + e^(i phi) sin(theta/2)|V>, theta in [0, pi]."""
         if not 0.0 <= theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
+            raise SimulationError(f"theta must lie in [0, pi], got {theta!r}")
+        if not math.isfinite(phi):
+            raise NormalizationError(f"phi must be finite, got {phi!r}")
         return cls(
             complex(math.cos(theta / 2.0)),
             complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0),
@@ -133,7 +130,10 @@ class JonesVector:
         exactly-normalized inputs survive bit-for-bit.
         """
         a, b = complex(ar, ai), complex(br, bi)
-        nsq = abs(a) ** 2 + abs(b) ** 2
+        try:
+            nsq = abs(a) ** 2 + abs(b) ** 2
+        except OverflowError:  # a component near the float maximum
+            nsq = math.inf
         if not abs(nsq - 1.0) <= tol:
             raise NormalizationError(
                 f"components give |psi|^2 = {nsq!r}, expected 1 within {tol}"
@@ -162,8 +162,10 @@ def random_jones(rng: np.random.Generator) -> JonesVector:
     return JonesVector(complex(v[0], v[1]) / norm, complex(v[2], v[3]) / norm)
 
 
-def _transform_amplitudes(amps, get_pair, put_pair, element) -> dict:
-    """Shared map-application kernel for one- and two-photon states.
+def _transform_amplitudes(amps, lo, element) -> dict:
+    """Apply `element` to the (mode, polarization) slot at `key[lo:lo + 2]`
+    of every key; the other slots ride along unchanged. Offset 0 is photon 1
+    of a `BasisKet` or the only slot of a one-photon key, offset 2 photon 2.
 
     Pairs in the element's input basis transform by the matrix column; all
     other pairs pass through unchanged. Two situations are rejected because
@@ -174,10 +176,11 @@ def _transform_amplitudes(amps, get_pair, put_pair, element) -> dict:
     * a pass-through pair that coincides with an output pair actually
       receiving amplitude (coherent overlap out of thin air).
     """
+    hi = lo + 2
     in_index = {pair: col for col, pair in enumerate(element.input_basis)}
     matrix = element.matrix
     populated_cols = sorted(
-        {in_index[p] for p in (get_pair(k) for k in amps) if p in in_index}
+        {in_index[p] for p in (k[lo:hi] for k in amps) if p in in_index}
     )
     receiving = set()
     for row, out_pair in enumerate(element.output_basis):
@@ -185,14 +188,17 @@ def _transform_amplitudes(amps, get_pair, put_pair, element) -> dict:
             receiving.add(out_pair)
     out: dict = {}
     for key, amp in amps.items():
-        pair = get_pair(key)
+        pair = key[lo:hi]
         col = in_index.get(pair)
         if col is not None:
+            head, tail = key[:lo], key[hi:]
             for row, out_pair in enumerate(element.output_basis):
                 weight = matrix[row, col]
                 if weight == 0:
                     continue
-                new_key = put_pair(key, out_pair)
+                # Slices are plain tuples; rebuild the key as its own type, so
+                # a BasisKet stays one and skips coercion on construction.
+                new_key = tuple.__new__(type(key), head + out_pair + tail)
                 out[new_key] = out.get(new_key, 0j) + complex(weight) * amp
         elif pair[0] in element.exclusive_modes:
             raise GuardViolation(
@@ -208,168 +214,146 @@ def _transform_amplitudes(amps, get_pair, put_pair, element) -> dict:
     return out
 
 
-class JointState:
-    """Immutable sparse amplitude map for the photon pair.
+class _SparseAmplitudes:
+    """Immutable sparse amplitude map over slot-tuple keys, plus a frame
+    naming the modes the keys may use.
 
-    Construction sorts, prunes, and validates; the squared norm may sit
-    below 1 (unnormalized conditionals) but never above 1 + NORM_EPS.
+    Construction coerces keys, sorts, prunes, and validates; the squared
+    norm may sit below 1 (unnormalized conditionals) but never above
+    1 + NORM_EPS. Subclasses supply `_coerce` (key normalization),
+    `_check_key` (mode membership in the frame) and `_KEY_NAME`.
     """
 
-    __slots__ = ("_amps", "registry")
+    __slots__ = ("_amps", "_frame")
 
-    def __init__(self, amplitudes: Mapping, registry: ModeRegistry) -> None:
-        entries = [(_coerce_ket(k), complex(v)) for k, v in amplitudes.items()]
-        entries.sort(key=lambda kv: kv[0])
-        amps: dict[BasisKet, complex] = {}
-        for ket, value in entries:
-            if abs(value) < PRUNE_EPS:
+    def __init__(self, amplitudes: Mapping, frame) -> None:
+        entries = [(self._coerce(k), complex(v)) for k, v in amplitudes.items()]
+        entries.sort(key=itemgetter(0))
+        amps: dict = {}
+        nsq = 0.0
+        for key, value in entries:
+            # Compared squared, so a magnitude past the float range cannot
+            # raise; it fails the norm ceiling instead.
+            weight = value.real * value.real + value.imag * value.imag
+            if weight < _PRUNE_SQ:
                 continue
-            if ket in amps:
-                raise ValueError(f"duplicate basis ket {ket!r}")
-            if ket.mode1 not in registry.photon1:
-                raise RegistryError(f"mode {ket.mode1!r} is not registered to photon 1")
-            if ket.mode2 not in registry.photon2:
-                raise RegistryError(f"mode {ket.mode2!r} is not registered to photon 2")
-            amps[ket] = value
-        nsq = sum(v.real * v.real + v.imag * v.imag for v in amps.values())
+            if key in amps:
+                raise RegistryError(f"duplicate {self._KEY_NAME} {key!r}")
+            self._check_key(key, frame)
+            amps[key] = value
+            nsq += weight
         if not nsq <= 1.0 + NORM_EPS:
             raise NormalizationError(f"squared norm {nsq!r} exceeds 1 + {NORM_EPS}")
         object.__setattr__(self, "_amps", amps)
-        object.__setattr__(self, "registry", registry)
+        object.__setattr__(self, "_frame", frame)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("JointState is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self) -> int:
         return len(self._amps)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, JointState):
+        if type(other) is not type(self):
             return NotImplemented
-        return self._amps == other._amps and self.registry == other.registry
+        return self._amps == other._amps and self._frame == other._frame
 
     def __hash__(self):
-        return hash((tuple(self._amps.items()), self.registry))
+        return hash((tuple(self._amps.items()), self._frame))
 
-    def items(self) -> Iterator[tuple[BasisKet, complex]]:
-        """Kets in ascending order with their amplitudes; order is stable."""
+    def items(self) -> Iterator[tuple]:
+        """Keys in ascending order with their amplitudes; order is stable."""
         return iter(self._amps.items())
 
-    def kets(self) -> tuple[BasisKet, ...]:
-        return tuple(self._amps.keys())
-
-    def amplitude(self, ket) -> complex:
-        return self._amps.get(_coerce_ket(ket), 0j)
+    def amplitude(self, key) -> complex:
+        return self._amps.get(self._coerce(key), 0j)
 
     def squared_norm(self) -> float:
         return float(sum(v.real * v.real + v.imag * v.imag for v in self._amps.values()))
 
-    def inner_product(self, other: "JointState") -> complex:
-        """<self|other>; conjugate-linear in self. Registries must match."""
-        if self.registry != other.registry:
+    def inner_product(self, other) -> complex:
+        """<self|other>; conjugate-linear in self. Frames must match."""
+        if self._frame != other._frame:
             raise RegistryError("inner product requires identical mode registries")
         total = 0j
-        for ket, amp in self._amps.items():
-            o = other._amps.get(ket)
+        for key, amp in self._amps.items():
+            o = other._amps.get(key)
             if o is not None:
                 total += amp.conjugate() * o
         return total
+
+
+class JointState(_SparseAmplitudes):
+    """Immutable sparse amplitude map for the photon pair, keyed by
+    `BasisKet` over the modes of a `ModeRegistry`."""
+
+    __slots__ = ()
+    _KEY_NAME = "basis ket"
+    registry = property(attrgetter("_frame"), doc="The pair's `ModeRegistry`.")
+
+    def __init__(self, amplitudes: Mapping, registry: ModeRegistry) -> None:
+        super().__init__(amplitudes, registry)
+
+    @staticmethod
+    def _coerce(key) -> BasisKet:
+        if isinstance(key, BasisKet):
+            return key
+        m1, p1, m2, p2 = key
+        return BasisKet(str(m1), Polarization(p1), str(m2), Polarization(p2))
+
+    @staticmethod
+    def _check_key(ket: BasisKet, registry: ModeRegistry) -> None:
+        if ket.mode1 not in registry.photon1:
+            raise RegistryError(f"mode {ket.mode1!r} is not registered to photon 1")
+        if ket.mode2 not in registry.photon2:
+            raise RegistryError(f"mode {ket.mode2!r} is not registered to photon 2")
+
+    def kets(self) -> tuple[BasisKet, ...]:
+        return tuple(self._amps.keys())
 
     def with_modes(self, photon: int, names: Iterable[str]) -> "JointState":
         return JointState(self._amps, self.registry.with_modes(photon, names))
 
     def apply_one_photon_map(self, photon: int, element) -> "JointState":
         """Apply an element to one photon; the other photon is untouched."""
-        _check_photon(photon)
+        modes = self.registry.modes(photon)
         for mode, _ in element.input_basis:
-            if not self.registry.has(photon, mode):
+            if mode not in modes:
                 raise RegistryError(
                     f"input mode {mode!r} is not registered to photon {photon}"
                 )
         registry = self.registry.with_modes(
             photon, (mode for mode, _ in element.output_basis)
         )
-        if photon == 1:
-            def get_pair(ket):
-                return (ket.mode1, ket.pol1)
-
-            def put_pair(ket, pair):
-                return BasisKet(pair[0], pair[1], ket.mode2, ket.pol2)
-        else:
-            def get_pair(ket):
-                return (ket.mode2, ket.pol2)
-
-            def put_pair(ket, pair):
-                return BasisKet(ket.mode1, ket.pol1, pair[0], pair[1])
-        return JointState(_transform_amplitudes(self._amps, get_pair, put_pair, element), registry)
+        lo = 0 if photon == 1 else 2
+        return JointState(_transform_amplitudes(self._amps, lo, element), registry)
 
 
-class PhotonState:
+class PhotonState(_SparseAmplitudes):
     """Sparse single-photon state over (mode, polarization) pairs."""
 
-    __slots__ = ("_amps", "modes")
+    __slots__ = ()
+    _KEY_NAME = "pair"
+    modes = property(attrgetter("_frame"), doc="The photon's mode names.")
 
     def __init__(self, amplitudes: Mapping, modes: Iterable[str]) -> None:
-        mode_set = frozenset(str(m) for m in modes)
-        entries = [((str(k[0]), Polarization(k[1])), complex(v)) for k, v in amplitudes.items()]
-        entries.sort(key=lambda kv: kv[0])
-        amps: dict[ModePol, complex] = {}
-        for pair, value in entries:
-            if abs(value) < PRUNE_EPS:
-                continue
-            if pair in amps:
-                raise ValueError(f"duplicate pair {pair!r}")
-            if pair[0] not in mode_set:
-                raise RegistryError(f"mode {pair[0]!r} is not registered")
-            amps[pair] = value
-        nsq = sum(v.real * v.real + v.imag * v.imag for v in amps.values())
-        if not nsq <= 1.0 + NORM_EPS:
-            raise NormalizationError(f"squared norm {nsq!r} exceeds 1 + {NORM_EPS}")
-        object.__setattr__(self, "_amps", amps)
-        object.__setattr__(self, "modes", mode_set)
+        super().__init__(amplitudes, frozenset(str(m) for m in modes))
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("PhotonState is immutable")
+    @staticmethod
+    def _coerce(key) -> ModePol:
+        return (str(key[0]), Polarization(key[1]))
 
-    def __len__(self) -> int:
-        return len(self._amps)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PhotonState):
-            return NotImplemented
-        return self._amps == other._amps and self.modes == other.modes
-
-    def __hash__(self):
-        return hash((tuple(self._amps.items()), self.modes))
-
-    def items(self) -> Iterator[tuple[ModePol, complex]]:
-        return iter(self._amps.items())
-
-    def amplitude(self, pair) -> complex:
-        return self._amps.get((str(pair[0]), Polarization(pair[1])), 0j)
-
-    def squared_norm(self) -> float:
-        return float(sum(v.real * v.real + v.imag * v.imag for v in self._amps.values()))
-
-    def inner_product(self, other: "PhotonState") -> complex:
-        if self.modes != other.modes:
-            raise RegistryError("inner product requires identical mode registries")
-        total = 0j
-        for pair, amp in self._amps.items():
-            o = other._amps.get(pair)
-            if o is not None:
-                total += amp.conjugate() * o
-        return total
+    @staticmethod
+    def _check_key(pair: ModePol, modes: frozenset[str]) -> None:
+        if pair[0] not in modes:
+            raise RegistryError(f"mode {pair[0]!r} is not registered")
 
     def apply_map(self, element) -> "PhotonState":
         for mode, _ in element.input_basis:
             if mode not in self.modes:
                 raise RegistryError(f"input mode {mode!r} is not registered")
         modes = self.modes | {mode for mode, _ in element.output_basis}
-        amps = _transform_amplitudes(
-            self._amps, lambda pair: pair, lambda _old, pair: pair, element
-        )
-        return PhotonState(amps, modes)
+        return PhotonState(_transform_amplitudes(self._amps, 0, element), modes)
 
     def normalized(self) -> "PhotonState":
         nsq = self.squared_norm()

@@ -8,16 +8,18 @@ import pytest
 
 from teleoptics import protocol
 from teleoptics.bellmode import AliceStrategy, BobSetting, joint_distribution
-from teleoptics.errors import GuardViolation, SimulationError
+from teleoptics.errors import GuardViolation, RegistryError, SimulationError
 from teleoptics.protocol import (
     BranchTable,
     CORRECTION_TABLE,
     CorrectionPlan,
     OUTCOMES,
     OutcomeId,
+    alice_analyzer,
     alice_transform,
     apply_correction,
     bob_decode,
+    bob_decoder,
     branch_states_dual_rail,
     branch_set,
     branch_states_polarization,
@@ -27,7 +29,8 @@ from teleoptics.protocol import (
     source_state,
     teleport_exact,
 )
-from teleoptics.states import JonesVector, Polarization
+from teleoptics.elements import pbs_merge, pol_rotate_to_h
+from teleoptics.states import JointState, JonesVector, ModeRegistry, Polarization
 
 from conftest import analyzer_oracle, assert_state_matches, haar_states
 
@@ -151,6 +154,8 @@ def test_branch_table_guards():
     with pytest.raises(GuardViolation, match="no detector"):
         branch_table(analyzed(JonesVector(1.0, 0.0)), photon=1,
                      bindings={"1'": "D1"})
+    with pytest.raises(RegistryError, match="photon must be 1 or 2, got 3"):
+        branch_table(state, photon=3)
 
 
 def test_branch_table_zero_probability_branch_is_none():
@@ -182,6 +187,55 @@ def test_branch_table_on_photon_two():
     assert abs(table.probability("A") - 0.5) < 1e-12
     cond = table.conditional("A")
     assert abs(abs(cond.amplitude(("a", H))) - abs(psi.alpha)) < 1e-12
+
+
+# ------------------------------------------- photon 1 and photon 2 slots alike
+
+def swap_photons(state):
+    """`state` with the two photons' key slots and registry sides exchanged."""
+    return JointState(
+        {(m2, p2, m1, p1): amp for (m1, p1, m2, p2), amp in state.items()},
+        ModeRegistry(state.registry.photon2, state.registry.photon1),
+    )
+
+
+def test_elements_and_branch_table_act_alike_on_either_photon(generic_psi):
+    state = preparer_encode(source_state(), generic_psi)
+    for element in alice_analyzer():
+        out = state.apply_one_photon_map(1, element)
+        assert swap_photons(state).apply_one_photon_map(2, element) == swap_photons(out)
+        state = out
+    assert branch_table(swap_photons(state), photon=2) == branch_table(state, photon=1)
+    for element in bob_decoder():
+        out = state.apply_one_photon_map(2, element)
+        assert swap_photons(state).apply_one_photon_map(1, element) == swap_photons(out)
+        state = out
+
+
+GUARDS = {
+    "overlap": (lambda psi: preparer_encode(source_state(), psi),
+                lambda state, photon: state.apply_one_photon_map(
+                    photon, pol_rotate_to_h("a"))),
+    "exclusive mode": (lambda psi: source_state(),
+                       lambda state, photon: state.apply_one_photon_map(
+                           photon, pbs_merge("a", "b", "o"))),
+    "trace over polarization": (lambda psi: preparer_encode(source_state(), psi),
+                                lambda state, photon: branch_table(
+                                    state, photon, {"a": "A", "b": "B"})),
+    "undetected mode": (analyzed,
+                        lambda state, photon: branch_table(state, photon, {"1'": "D1"})),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_guards_fire_alike_on_either_photon(guard, generic_psi):
+    make_state, act = GUARDS[guard]
+    state = make_state(generic_psi)
+    with pytest.raises(GuardViolation) as on_photon_1:
+        act(state, 1)
+    with pytest.raises(GuardViolation) as on_photon_2:
+        act(swap_photons(state), 2)
+    assert str(on_photon_2.value) == str(on_photon_1.value)
 
 
 # ------------------------------------------------- compiled maps vs the engine

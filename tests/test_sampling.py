@@ -95,6 +95,10 @@ def test_negative_seed_or_trial_index_is_rejected_by_every_trial_loop():
         trial_stream(-1, 0)
     with pytest.raises(SimulationError):
         trial_stream(0, -1)
+    with pytest.raises(SimulationError, match="seed must be an integer"):
+        trial_stream(1.5, 0)
+    with pytest.raises(SimulationError, match="trial must be an integer"):
+        trial_stream(0, 2.5)
     with pytest.raises(SimulationError):
         run_trials(JonesVector(1.0, 0.0), 5, DetectorModel(1.0), -1, StationConfig())
     config = default_scan_config(trials=5)

@@ -11,7 +11,12 @@ from teleoptics.elements import (
     pol_rotate_to_h,
     symmetric_bs,
 )
-from teleoptics.errors import GuardViolation, NormalizationError, RegistryError
+from teleoptics.errors import (
+    GuardViolation,
+    NormalizationError,
+    RegistryError,
+    SimulationError,
+)
 from teleoptics.states import (
     BasisKet,
     JointState,
@@ -68,10 +73,12 @@ def test_from_bloch_poles_and_equator():
 
 
 def test_from_bloch_rejects_theta_outside_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         JonesVector.from_bloch(-0.1, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         JonesVector.from_bloch(math.pi + 0.1, 0.0)
+    with pytest.raises(SimulationError, match="theta"):
+        JonesVector.from_bloch(math.nan, 0.0)
 
 
 def test_from_components_keeps_exact_literals():
@@ -126,7 +133,7 @@ def test_registry_append_only():
 
 def test_registry_rejects_bad_photon_and_empty_name():
     reg = ModeRegistry()
-    with pytest.raises(ValueError):
+    with pytest.raises(RegistryError, match="photon must be 1 or 2"):
         reg.modes(3)
     with pytest.raises(RegistryError):
         reg.with_modes(1, [""])
@@ -174,8 +181,10 @@ def test_joint_state_sorts_prunes_and_validates():
 def test_joint_state_rejects_duplicates_and_foreign_modes():
     reg = ModeRegistry(frozenset(["1"]), frozenset(["c"]))
     # the int key 1 and the string key "1" coerce to the same basis ket
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(RegistryError, match="duplicate basis ket"):
         JointState({(1, H, "c", H): 0.5, ("1", H, "c", H): 0.5}, reg)
+    with pytest.raises(RegistryError, match="duplicate pair"):
+        PhotonState({(1, H): 0.5, ("1", H): 0.5}, {"1"})
     with pytest.raises(RegistryError):
         JointState({("x", H, "c", H): 1.0}, reg)
 
