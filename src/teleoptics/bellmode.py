@@ -43,9 +43,15 @@ class BobSetting:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi:
+        try:
+            theta_ok, phi_ok = 0.0 <= self.theta <= math.pi, math.isfinite(self.phi)
+        except TypeError:
+            raise SimulationError(
+                f"setting angles must be real numbers, got {self.theta!r}, {self.phi!r}"
+            ) from None
+        if not theta_ok:
             raise SimulationError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not math.isfinite(self.phi):
+        if not phi_ok:
             raise SimulationError(f"phi must be finite, got {self.phi!r}")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
@@ -324,19 +330,23 @@ def efficiency_report(config: ScanConfig,
     """
     if len(eta_grid) == 0:
         raise SimulationError("eta grid must not be empty")
+    try:
+        etas = [float(eta) for eta in eta_grid]
+    except (TypeError, ValueError):
+        raise SimulationError(f"eta grid must hold numbers, got {eta_grid!r}") from None
     rows = []
-    for eta in eta_grid:
+    for eta in etas:
         result = chsh_scan(
             config.encodings,
             config.settings,
             binning=config.binning,
-            eta=float(eta),
+            eta=eta,
             n_trials=config.trials,
             seed=config.seed,
         )
         rows.append(
             EfficiencyRow(
-                float(eta), result.empirical_s, result.stderr, result.coincidence_rate
+                eta, result.empirical_s, result.stderr, result.coincidence_rate
             )
         )
     return tuple(rows)

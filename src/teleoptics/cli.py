@@ -175,7 +175,7 @@ def _cmd_dsl_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read {args.file}: {exc}")
     result = parse(text)
     if not result.ok:

@@ -1,7 +1,13 @@
 """Line-oriented language for describing optical tables, plus its runtime.
 
 One statement per line; `#` starts a comment; blank lines are ignored.
-Statement forms (photon is 1 or 2; modes are bare names like a, b', 3):
+The forms below are `STATEMENT_FORMS`, the grammar the parser runs; the
+mode checks and `pretty_print` walk the same fields. The placeholder count
+is the arity, and a trailing `...` makes it a minimum. `<photon>` is 1 or
+2, `<radians>` a number, `<ar> <ai> <br> <bi>` a Jones literal and
+`<mode>=<label>` a detector binding. Every other placeholder is a mode, a
+bare name like a, b' or 3; one whose name starts with `out` is a fresh
+output, and the rest must already be declared:
 
     modes <photon> <mode>...
     pair <a1> <a2> <b1> <b2>
@@ -32,8 +38,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 from .elements import ElementSpec
 from .errors import NormalizationError, SimulationError
@@ -43,7 +49,8 @@ from .states import JointState, JonesVector, ModeRegistry, PhotonState, make_pai
 
 _TOKEN_RE = re.compile(r"\S+")
 
-#: Statement shapes quoted in diagnostics.
+#: The grammar: one form per keyword, compiled into `_GRAMMAR` below and
+#: quoted in diagnostics.
 STATEMENT_FORMS = {
     "modes": "modes <photon> <mode>...",
     "pair": "pair <a1> <a2> <b1> <b2>",
@@ -79,9 +86,7 @@ def tokenize(text: str) -> list[SourceLine]:
     lines = []
     for number, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
-        tokens = tuple(
-            Token(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(code)
-        )
+        tokens = tuple([Token(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(code)])
         if tokens:
             lines.append(SourceLine(number, raw, tokens))
     return lines
@@ -166,13 +171,23 @@ class ParseResult:
         return self.program is not None
 
 
+#: Statements other than elements, by keyword; each takes its fields in
+#: text order. Every other keyword is an element kind.
+_STATEMENTS = {"modes": ModesStmt, "pair": PairStmt, "detect": DetectStmt,
+               "polarizer": PolarizerStmt}
+_KEYWORDS = {cls: keyword for keyword, cls in _STATEMENTS.items()}
+
+
 class _LineParser:
-    """Per-line recursive-descent over one token list."""
+    """Field parsers for one line; they record diagnostics and keep going."""
+
+    __slots__ = ("line", "sink", "failed", "modes")
 
     def __init__(self, line: SourceLine, sink: list[Diagnostic]) -> None:
         self.line = line
         self.sink = sink
         self.failed = False
+        self.modes: dict[str, bool] = {}  # mode -> whether it is a fresh output
 
     def error(self, token: Token | None, message: str,
               expected: str | None = None, found: str | None = None) -> None:
@@ -186,25 +201,6 @@ class _LineParser:
             end = token.col + len(token.text)
         self.sink.append(Diagnostic(self.line.number, col, end, message,
                                     expected=expected, found=found))
-
-    def exact_arity(self, count: int) -> bool:
-        keyword = self.line.tokens[0].text
-        args = len(self.line.tokens) - 1
-        if args != count:
-            excess = self.line.tokens[count + 1] if args > count else None
-            self.error(excess, f"{keyword} takes {count} arguments",
-                       expected=STATEMENT_FORMS[keyword], found=f"{args} arguments")
-            return False
-        return True
-
-    def min_arity(self, count: int) -> bool:
-        keyword = self.line.tokens[0].text
-        args = len(self.line.tokens) - 1
-        if args < count:
-            self.error(None, f"{keyword} takes at least {count} arguments",
-                       expected=STATEMENT_FORMS[keyword], found=f"{args} arguments")
-            return False
-        return True
 
     def photon(self, token: Token) -> int:
         if token.text in ("1", "2"):
@@ -226,21 +222,27 @@ class _LineParser:
             return 0.0
         return value
 
-    def mode(self, token: Token) -> str:
+    def mode(self, token: Token, fresh: bool = False) -> str:
         if "=" in token.text:
             self.error(token, "mode names must not contain '='",
                        found=repr(token.text))
-            return token.text
+        if token.text in self.modes:
+            self.error(token, f"mode {token.text!r} repeated in one statement")
+        self.modes[token.text] = fresh
         return token.text
 
-    def distinct_modes(self, tokens: Sequence[Token]) -> None:
-        seen: dict[str, Token] = {}
-        for token in tokens:
-            if token.text in seen:
-                self.error(token, f"mode {token.text!r} repeated in one statement")
-            seen.setdefault(token.text, token)
+    def out(self, token: Token) -> str:
+        return self.mode(token, fresh=True)
 
-    def jones_literal(self, tokens: Sequence[Token]) -> JonesVector | None:
+    def binding(self, token: Token) -> tuple[str, str]:
+        mode, eq, label = token.text.partition("=")
+        if not eq or not mode or not label or "=" in label:
+            self.error(token, "detector binding must be <mode>=<label>",
+                       expected="<mode>=<label>", found=repr(token.text))
+        return mode, label
+
+    def literal(self, tokens: Sequence[Token]) -> JonesVector | None:
+        """Four reals; the norm is checked only on an otherwise clean line."""
         values = [self.number(t) for t in tokens]
         if self.failed:
             return None
@@ -251,114 +253,69 @@ class _LineParser:
             return None
 
 
-def _parse_line(line: SourceLine, sink: list[Diagnostic]) -> Statement | None:
+#: Placeholders that name a field kind. Every other placeholder is a mode,
+#: and a fresh output mode when its name starts with "out".
+_FIELD_KINDS = {"<photon>": "photon", "<radians>": "number", "<ar>": "literal",
+                "<mode>=<label>...": "binding"}
+_LITERAL_REST = ("<ai>", "<br>", "<bi>")
+
+
+def _compile_form(form: str) -> tuple[int, bool, tuple]:
+    """(arity, whether `...` makes it a minimum, and per field its kind,
+    whether it repeats and its `_LineParser` method)."""
+    placeholders = form.split()[1:]
+    fields = []
+    for p in placeholders:
+        if p not in _LITERAL_REST:
+            kind = _FIELD_KINDS.get(p, "out" if p.startswith("<out") else "mode")
+            fields.append((kind, p.endswith("..."), getattr(_LineParser, kind)))
+    return len(placeholders), "..." in form, tuple(fields)
+
+
+_GRAMMAR = {keyword: _compile_form(form) for keyword, form in STATEMENT_FORMS.items()}
+
+
+def _parse_line(line: SourceLine,
+                sink: list[Diagnostic]) -> tuple[Statement, dict[str, bool]] | None:
+    """The line's statement and its modes (mode -> fresh output?), or None."""
     p = _LineParser(line, sink)
-    keyword = line.tokens[0].text
-    args = line.tokens[1:]
-
-    if keyword == "modes":
-        if not p.min_arity(2):
-            return None
-        photon = p.photon(args[0])
-        names = tuple(p.mode(t) for t in args[1:])
-        p.distinct_modes(args[1:])
-        return None if p.failed else ModesStmt(photon, names, line.number)
-
-    if keyword == "pair":
-        if not p.exact_arity(4):
-            return None
-        names = tuple(p.mode(t) for t in args)
-        p.distinct_modes(args)
-        return None if p.failed else PairStmt(*names, line=line.number)
-
-    if keyword == "jones":
-        if not p.min_arity(6):
-            return None
-        photon = p.photon(args[0])
-        mode_tokens = args[1:-4]
-        modes = tuple(p.mode(t) for t in mode_tokens)
-        p.distinct_modes(mode_tokens)
-        axis = p.jones_literal(args[-4:])
-        if p.failed or axis is None:
-            return None
-        return ElementStmt(ElementSpec("jones", photon, (axis, modes)), line.number)
-
-    if keyword in ("pbs", "bs", "merge"):
-        arity = {"pbs": 4, "bs": 5, "merge": 4}[keyword]
-        if not p.exact_arity(arity):
-            return None
-        photon = p.photon(args[0])
-        modes = tuple(p.mode(t) for t in args[1:])
-        p.distinct_modes(args[1:])
-        return None if p.failed else ElementStmt(
-            ElementSpec(keyword, photon, modes), line.number
-        )
-
-    if keyword in ("rot_to_h", "rot_h_to_v", "c1", "c2"):
-        if not p.exact_arity(2):
-            return None
-        photon = p.photon(args[0])
-        mode = p.mode(args[1])
-        return None if p.failed else ElementStmt(
-            ElementSpec(keyword, photon, (mode,)), line.number
-        )
-
-    if keyword == "phase":
-        if not p.exact_arity(3):
-            return None
-        photon = p.photon(args[0])
-        mode = p.mode(args[1])
-        radians = p.number(args[2])
-        return None if p.failed else ElementStmt(
-            ElementSpec("phase", photon, (mode, radians)), line.number
-        )
-
-    if keyword == "detect":
-        if not p.min_arity(2):
-            return None
-        photon = p.photon(args[0])
-        bindings = []
-        for token in args[1:]:
-            mode, eq, label = token.text.partition("=")
-            if not eq or not mode or not label or "=" in label:
-                p.error(token, "detector binding must be <mode>=<label>",
-                        expected="<mode>=<label>", found=repr(token.text))
-                continue
-            bindings.append((mode, label))
-        if p.failed:
-            return None
-        return DetectStmt(photon, tuple(bindings), line.number)
-
-    if keyword == "polarizer":
-        if not p.exact_arity(6):
-            return None
-        photon = p.photon(args[0])
-        mode = p.mode(args[1])
-        axis = p.jones_literal(args[2:])
-        if p.failed or axis is None:
-            return None
-        return PolarizerStmt(photon, mode, axis, line.number)
-
-    p.error(line.tokens[0], f"unknown statement {keyword!r}",
-            expected="one of " + ", ".join(sorted(STATEMENT_FORMS)))
-    return None
+    tokens = line.tokens
+    keyword = tokens[0].text
+    grammar = _GRAMMAR.get(keyword)
+    if grammar is None:
+        p.error(tokens[0], f"unknown statement {keyword!r}",
+                expected="one of " + ", ".join(sorted(STATEMENT_FORMS)))
+        return None
+    arity, variadic, form_fields = grammar
+    extra = len(tokens) - 1 - arity
+    if extra < 0 or (extra and not variadic):
+        least = "at least " if variadic else ""
+        p.error(tokens[arity + 1] if extra > 0 else None,
+                f"{keyword} takes {least}{arity} arguments",
+                expected=STATEMENT_FORMS[keyword], found=f"{arity + extra} arguments")
+        return None
+    values = []
+    at = 1
+    for kind, repeated, parse_field in form_fields:
+        if repeated:
+            values.append(tuple([parse_field(p, t) for t in tokens[at:at + 1 + extra]]))
+            at += 1 + extra
+        elif kind == "literal":
+            values.append(parse_field(p, tokens[at:at + 4]))
+            at += 4
+        else:
+            values.append(parse_field(p, tokens[at]))
+            at += 1
+    if p.failed:
+        return None
+    statement = _STATEMENTS.get(keyword)
+    if statement is not None:
+        return statement(*values, line=line.number), p.modes
+    spec = ElementSpec(keyword, values[0], tuple(values[1:]))
+    return ElementStmt(spec, line.number), p.modes
 
 
-def _spec_modes(spec: ElementSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(input modes, fresh output modes) a statement touches."""
-    if spec.kind == "jones":
-        return tuple(spec.args[1]), ()
-    if spec.kind == "pbs":
-        return (spec.args[0],), (spec.args[1], spec.args[2])
-    if spec.kind == "bs":
-        return (spec.args[0], spec.args[1]), (spec.args[2], spec.args[3])
-    if spec.kind == "merge":
-        return (spec.args[0], spec.args[1]), (spec.args[2],)
-    # rot_to_h, rot_h_to_v, phase, c1, c2 act in place
-    return (spec.args[0],), ()
-
-
-def _check_semantics(statements: Sequence[Statement],
+def _check_semantics(statements: Sequence[tuple[Statement, dict[str, bool]]],
                      sink: list[Diagnostic]) -> None:
     declared: dict[int, set[str]] = {1: set(), 2: set()}
     labels: set[str] = set()
@@ -369,133 +326,113 @@ def _check_semantics(statements: Sequence[Statement],
     def err(line: int, message: str, expected: str | None = None) -> None:
         sink.append(Diagnostic(line, 1, 1, message, expected=expected))
 
-    def require_declared(line: int, photon: int, modes: Iterable[str]) -> None:
-        for mode in modes:
-            if mode not in declared[photon]:
-                err(line, f"mode {mode!r} is not declared for photon {photon}")
-
-    def require_fresh(line: int, photon: int, modes: Iterable[str]) -> None:
-        for mode in modes:
-            if mode in declared[photon]:
+    def require(line: int, photon: int, modes: dict[str, bool]) -> None:
+        """Inputs (False) must be declared; fresh outputs (True) must not be,
+        and are declared from here on."""
+        known = declared[photon]
+        for mode, fresh in modes.items():
+            if not fresh:
+                if mode not in known:
+                    err(line, f"mode {mode!r} is not declared for photon {photon}")
+            elif mode in known:
                 err(line, f"mode {mode!r} already declared for photon {photon}")
-            declared[photon].add(mode)
+            else:
+                known.add(mode)
 
-    for stmt in statements:
+    def consumed(line: int, photon: int) -> bool:
+        if detect_stmt is None or photon != detect_stmt.photon:
+            return False
+        err(line, f"photon {photon} was consumed by detect at line {detect_stmt.line}")
+        return True
+
+    for stmt, modes in statements:
         if polarizer_seen:
             err(stmt.line, "no statement may follow the polarizer")
-            continue
-        consumed = detect_stmt is not None
-        if isinstance(stmt, ModesStmt):
-            if consumed and stmt.photon == detect_stmt.photon:
-                err(stmt.line,
-                    f"photon {stmt.photon} was consumed by detect at line "
-                    f"{detect_stmt.line}")
-                continue
-            require_fresh(stmt.line, stmt.photon, stmt.names)
+        elif isinstance(stmt, ModesStmt):
+            if not consumed(stmt.line, stmt.photon):
+                require(stmt.line, stmt.photon, dict.fromkeys(stmt.names, True))
         elif isinstance(stmt, PairStmt):
             if source_line:
                 err(stmt.line, f"second source; pair already given at line {source_line}")
                 continue
             source_line = stmt.line
-            require_declared(stmt.line, 1, (stmt.a1, stmt.b1))
-            require_declared(stmt.line, 2, (stmt.a2, stmt.b2))
+            require(stmt.line, 1, dict.fromkeys((stmt.a1, stmt.b1), False))
+            require(stmt.line, 2, dict.fromkeys((stmt.a2, stmt.b2), False))
         elif isinstance(stmt, ElementStmt):
             photon = stmt.spec.photon
             if not source_line:
                 err(stmt.line, "element precedes the source; add a pair statement first")
-                continue
-            if consumed and photon == detect_stmt.photon:
-                err(stmt.line,
-                    f"photon {photon} was consumed by detect at line {detect_stmt.line}")
-                continue
-            inputs, outputs = _spec_modes(stmt.spec)
-            require_declared(stmt.line, photon, inputs)
-            require_fresh(stmt.line, photon, outputs)
+            elif not consumed(stmt.line, photon):
+                require(stmt.line, photon, modes)
         elif isinstance(stmt, DetectStmt):
             if not source_line:
                 err(stmt.line, "detect precedes the source")
                 continue
-            if consumed:
+            if detect_stmt is not None:
                 err(stmt.line,
                     f"second detect; photons already detected at line {detect_stmt.line}")
                 continue
             for mode, label in stmt.bindings:
-                if mode not in declared[stmt.photon]:
-                    err(stmt.line,
-                        f"mode {mode!r} is not declared for photon {stmt.photon}")
+                require(stmt.line, stmt.photon, {mode: False})
                 if label in labels:
                     err(stmt.line, f"duplicate detector label {label!r}")
                 labels.add(label)
-            modes = [m for m, _ in stmt.bindings]
-            for mode in set(m for m in modes if modes.count(m) > 1):
+            bound = [m for m, _ in stmt.bindings]
+            for mode in set(m for m in bound if bound.count(m) > 1):
                 err(stmt.line, f"mode {mode!r} bound to two detectors")
             detect_stmt = stmt
         elif isinstance(stmt, PolarizerStmt):
             if detect_stmt is None:
                 err(stmt.line, "polarizer requires an earlier detect")
-                continue
-            if stmt.photon == detect_stmt.photon:
-                err(stmt.line,
-                    f"photon {stmt.photon} was consumed by detect at line "
-                    f"{detect_stmt.line}")
-                continue
-            if stmt.mode not in declared[stmt.photon]:
-                err(stmt.line,
-                    f"mode {stmt.mode!r} is not declared for photon {stmt.photon}")
-            polarizer_seen = True
+            elif not consumed(stmt.line, stmt.photon):
+                require(stmt.line, stmt.photon, modes)
+                polarizer_seen = True
 
     if statements and not source_line:
-        err(statements[0].line, "program has no source; add a pair statement")
+        err(statements[0][0].line, "program has no source; add a pair statement")
 
 
 def parse(text: str) -> ParseResult:
     """Parse and validate; returns a program only with zero diagnostics."""
     diagnostics: list[Diagnostic] = []
-    statements: list[Statement] = []
+    statements = []
     for line in tokenize(text):
-        stmt = _parse_line(line, diagnostics)
-        if stmt is not None:
-            statements.append(stmt)
+        parsed = _parse_line(line, diagnostics)
+        if parsed is not None:
+            statements.append(parsed)
     if not diagnostics:
         _check_semantics(statements, diagnostics)
     diagnostics.sort(key=lambda d: (d.line, d.col))
     if diagnostics:
         return ParseResult(None, tuple(diagnostics))
-    return ParseResult(CircuitProgram(tuple(statements)), ())
+    return ParseResult(CircuitProgram(tuple([stmt for stmt, _ in statements])), ())
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+_FORMAT = {
+    "photon": str, "mode": str, "out": str, "number": _fmt, "binding": "=".join,
+    "literal": lambda axis: " ".join(_fmt(x) for x in (axis.alpha.real, axis.alpha.imag,
+                                                       axis.beta.real, axis.beta.imag)),
+}
+
+
 def pretty_print(program: CircuitProgram) -> str:
     """Canonical text form; reparsing it reproduces the program."""
     out = []
     for stmt in program.statements:
-        if isinstance(stmt, ModesStmt):
-            out.append(f"modes {stmt.photon} " + " ".join(stmt.names))
-        elif isinstance(stmt, PairStmt):
-            out.append(f"pair {stmt.a1} {stmt.a2} {stmt.b1} {stmt.b2}")
-        elif isinstance(stmt, ElementStmt):
-            spec = stmt.spec
-            if spec.kind == "jones":
-                axis, modes = spec.args
-                parts = [_fmt(axis.alpha.real), _fmt(axis.alpha.imag),
-                         _fmt(axis.beta.real), _fmt(axis.beta.imag)]
-                out.append(f"jones {spec.photon} " + " ".join(modes)
-                           + " " + " ".join(parts))
-            elif spec.kind == "phase":
-                out.append(f"phase {spec.photon} {spec.args[0]} {_fmt(spec.args[1])}")
-            else:
-                out.append(f"{spec.kind} {spec.photon} " + " ".join(spec.args))
-        elif isinstance(stmt, DetectStmt):
-            pairs = " ".join(f"{m}={l}" for m, l in stmt.bindings)
-            out.append(f"detect {stmt.photon} {pairs}")
-        elif isinstance(stmt, PolarizerStmt):
-            parts = [_fmt(stmt.axis.alpha.real), _fmt(stmt.axis.alpha.imag),
-                     _fmt(stmt.axis.beta.real), _fmt(stmt.axis.beta.imag)]
-            out.append(f"polarizer {stmt.photon} {stmt.mode} " + " ".join(parts))
-    return "\n".join(out) + ("\n" if out else "")
+        if isinstance(stmt, ElementStmt):
+            keyword, values = stmt.spec.kind, (stmt.spec.photon, *stmt.spec.args)
+        else:
+            keyword = _KEYWORDS[type(stmt)]
+            values = [getattr(stmt, f.name) for f in fields(stmt) if f.name != "line"]
+        words = [keyword]
+        for (kind, repeated, _), value in zip(_GRAMMAR[keyword][2], values):
+            words += map(_FORMAT[kind], value if repeated else (value,))
+        out.append(" ".join(words) + "\n")
+    return "".join(out)
 
 
 class CircuitRuntimeError(SimulationError):

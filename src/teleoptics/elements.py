@@ -149,7 +149,7 @@ def relabel(old: str, new: str) -> OnePhotonMap:
 
 
 _BUILDERS = {
-    "jones": lambda args: jones_rotation(args[0], args[1]),
+    "jones": lambda args: jones_rotation(args[1], args[0]),
     "pbs": lambda args: pbs(*args),
     "rot_to_h": lambda args: pol_rotate_to_h(*args),
     "rot_h_to_v": lambda args: pol_rotate_h_to_v(*args),

@@ -36,7 +36,11 @@ class DetectorModel:
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
+        try:
+            in_range = 0.0 <= self.efficiency <= 1.0
+        except TypeError:
+            in_range = False
+        if not in_range:
             raise SimulationError(
                 f"efficiency must lie in [0, 1], got {self.efficiency!r}"
             )

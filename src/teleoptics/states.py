@@ -99,9 +99,14 @@ class JonesVector:
     beta: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        a, b = self.alpha, self.beta
+        try:
+            a, b = complex(self.alpha), complex(self.beta)
+        except (TypeError, ValueError):
+            raise SimulationError(
+                f"Jones components must be numbers, got {self.alpha!r}, {self.beta!r}"
+            ) from None
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
         nsq = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
         if not abs(nsq - 1.0) <= NORM_EPS:
             raise NormalizationError(
@@ -111,9 +116,15 @@ class JonesVector:
     @classmethod
     def from_bloch(cls, theta: float, phi: float) -> "JonesVector":
         """cos(theta/2)|H> + e^(i phi) sin(theta/2)|V>, theta in [0, pi]."""
-        if not 0.0 <= theta <= math.pi:
+        try:
+            theta_ok, phi_ok = 0.0 <= theta <= math.pi, math.isfinite(phi)
+        except TypeError:
+            raise SimulationError(
+                f"Bloch angles must be real numbers, got {theta!r}, {phi!r}"
+            ) from None
+        if not theta_ok:
             raise SimulationError(f"theta must lie in [0, pi], got {theta!r}")
-        if not math.isfinite(phi):
+        if not phi_ok:
             raise NormalizationError(f"phi must be finite, got {phi!r}")
         return cls(
             complex(math.cos(theta / 2.0)),
@@ -129,7 +140,12 @@ class JonesVector:
         renormalized unless already normalized to machine precision, so
         exactly-normalized inputs survive bit-for-bit.
         """
-        a, b = complex(ar, ai), complex(br, bi)
+        try:
+            a, b = complex(ar, ai), complex(br, bi)
+        except (TypeError, ValueError):
+            raise SimulationError(
+                f"components must be real numbers, got {(ar, ai, br, bi)!r}"
+            ) from None
         try:
             nsq = abs(a) ** 2 + abs(b) ** 2
         except OverflowError:  # a component near the float maximum
@@ -227,7 +243,10 @@ class _SparseAmplitudes:
     __slots__ = ("_amps", "_frame")
 
     def __init__(self, amplitudes: Mapping, frame) -> None:
-        entries = [(self._coerce(k), complex(v)) for k, v in amplitudes.items()]
+        try:
+            entries = [(self._coerce(k), complex(v)) for k, v in amplitudes.items()]
+        except (TypeError, ValueError) as exc:
+            raise SimulationError(f"bad {self._KEY_NAME} or amplitude: {exc}") from None
         entries.sort(key=itemgetter(0))
         amps: dict = {}
         nsq = 0.0
@@ -249,6 +268,11 @@ class _SparseAmplitudes:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # Rebuild through the validating constructor; the default slot-state
+        # restore would go through the immutability guard above.
+        return type(self), (self._amps, self._frame)
 
     def __len__(self) -> int:
         return len(self._amps)

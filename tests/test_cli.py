@@ -292,6 +292,15 @@ def test_negative_seed_is_a_usage_error_without_traceback():
     assert "Traceback" not in result.stderr
 
 
+def test_non_utf8_circuit_is_a_usage_error_without_traceback(tmp_path):
+    path = tmp_path / "binary.opt"
+    path.write_bytes(b"\xff\xfemodes 1 a b\n")
+    result = _run_module("dsl-run", str(path))
+    assert result.returncode == 1
+    assert "cannot read" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 # ---------------------------------------------------------------- write_events
 
 

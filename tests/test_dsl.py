@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from teleoptics import dsl
 from teleoptics.dsl import (
     CircuitRuntimeError,
     Diagnostic,
@@ -42,6 +43,11 @@ def teleport_text(psi: JonesVector) -> str:
         else:
             lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def test_module_docstring_lists_every_statement_form():
+    for form in dsl.STATEMENT_FORMS.values():
+        assert form in dsl.__doc__
 
 
 # ---------------------------------------------------------------- tokenizer

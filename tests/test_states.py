@@ -1,6 +1,8 @@
 """State layer: Jones vectors, sparse joint states, guards, registries."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from teleoptics.errors import (
     RegistryError,
     SimulationError,
 )
+from teleoptics.protocol import alice_transform, branch_table, preparer_encode, source_state
 from teleoptics.states import (
     BasisKet,
     JointState,
@@ -288,3 +291,21 @@ def test_equal_up_to_global_phase():
     r = PhotonState({("a", H): 0.8, ("b", H): 0.6}, {"a", "b"})
     assert equal_up_to_global_phase(p, q)
     assert not equal_up_to_global_phase(p, r)
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda state: pickle.loads(pickle.dumps(state)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_states_survive_pickle_and_copy(duplicate, generic_psi):
+    joint = source_state()
+    table = branch_table(alice_transform(preparer_encode(joint, generic_psi)))
+    conditional = next(c for c in table.conditionals if c is not None)
+    for state in (joint, conditional):
+        twin = duplicate(state)
+        assert type(twin) is type(state)
+        assert twin == state
+        assert hash(twin) == hash(state)
+        assert list(twin.items()) == list(state.items())
+    assert all(type(key) is BasisKet for key, _ in duplicate(joint).items())
