@@ -11,6 +11,7 @@ nothing assumes the state factorizes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .protocol import OUTCOMES, OutcomeId, branch_set, branch_states_dual_rail
-from .sampling import DetectorModel, sample_trials, uniform_grid
+from .sampling import DetectorModel, _trial_columns
 from .states import JonesVector
 
 
@@ -227,7 +228,7 @@ def chsh_scan(encodings: Sequence[JonesVector], settings: Sequence[BobSetting],
     `binning` is one click->sign map shared by both encodings, or a pair of
     maps applied per encoding. Trials draw the encoding and setting
     uniformly, then a cell of that pair's (click, axis outcome) pmf, through
-    the trial loop and draw order of `teleoptics.sampling`; lost trials are
+    the trial kernel and draw order of `teleoptics.sampling`; lost trials are
     discarded from the post-selected statistics and counted in the
     coincidence rate.
     """
@@ -249,13 +250,12 @@ def chsh_scan(encodings: Sequence[JonesVector], settings: Sequence[BobSetting],
             exact[i, j] = float(pmf[i, j] @ cell_signs[i])
     exact_s = float(exact[0, 0] + exact[0, 1] + exact[1, 0] - exact[1, 1])
 
-    counts = np.zeros((2, 2, 8), dtype=np.int64)
-    n_kept = 0
-    for _, (i, j), cell, _ in sample_trials(seed, n_trials, detector,
-                                            uniform_grid(pmf.tolist())):
-        if cell is not None:
-            n_kept += 1
-            counts[i, j, cell] += 1
+    counts = np.zeros(2 * 2 * 8, dtype=np.int64)
+    for _, (i, j), cell, _ in _trial_columns(seed, n_trials, detector, pmf, lead=(2, 2)):
+        kept = cell >= 0
+        counts += np.bincount(((i * 2 + j) * 8 + cell)[kept], minlength=counts.size)
+    counts = counts.reshape(2, 2, 8)
+    n_kept = int(counts.sum())
 
     empirical = np.full((2, 2), np.nan)
     variance = 0.0
@@ -330,10 +330,9 @@ def efficiency_report(config: ScanConfig,
     """
     if len(eta_grid) == 0:
         raise SimulationError("eta grid must not be empty")
-    try:
-        etas = [float(eta) for eta in eta_grid]
-    except (TypeError, ValueError):
-        raise SimulationError(f"eta grid must hold numbers, got {eta_grid!r}") from None
+    if not all(isinstance(eta, numbers.Real) for eta in eta_grid):
+        raise SimulationError(f"eta grid must hold numbers, got {eta_grid!r}")
+    etas = [float(eta) for eta in eta_grid]
     rows = []
     for eta in etas:
         result = chsh_scan(

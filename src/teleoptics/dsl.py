@@ -39,12 +39,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, fields
+from itertools import count
 from typing import Sequence
 
 from .elements import ElementSpec
 from .errors import NormalizationError, SimulationError
 from .protocol import BranchTable, branch_table
-from .sampling import DetectorModel, EventRecord, pass_probability, sample_trials
+from .sampling import DetectorModel, EventRecord, _passed, _trial_columns, pass_probability
 from .states import JointState, JonesVector, ModeRegistry, PhotonState, make_pair_state
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -425,6 +426,9 @@ def pretty_print(program: CircuitProgram) -> str:
     for stmt in program.statements:
         if isinstance(stmt, ElementStmt):
             keyword, values = stmt.spec.kind, (stmt.spec.photon, *stmt.spec.args)
+            if keyword not in _GRAMMAR:
+                raise SimulationError(
+                    f"element kind {keyword!r} has no statement form to print")
         else:
             keyword = _KEYWORDS[type(stmt)]
             values = [getattr(stmt, f.name) for f in fields(stmt) if f.name != "line"]
@@ -462,7 +466,7 @@ class RunResult:
 def compile_and_run(program: CircuitProgram, trials: int = 0, seed: int = 0,
                     eta: float = 1.0) -> RunResult:
     """Execute a validated program; with `trials`, sample detection events
-    through the trial loop and draw order of `teleoptics.sampling`."""
+    through the trial kernel and draw order of `teleoptics.sampling`."""
     registry = ModeRegistry()
     state: JointState | None = None
     table = None
@@ -528,10 +532,12 @@ def compile_and_run(program: CircuitProgram, trials: int = 0, seed: int = 0,
     records: list[EventRecord] = []
     if trials:
         labels = [label for _, label in detect_stmt.bindings]
-        probabilities = table.probabilities
-        for trial, _, index, passed in sample_trials(
-                seed, trials, DetectorModel(eta), lambda rng: (None, probabilities),
-                lambda context, index: passes[index]):
-            outcome = None if index is None else labels[index]
-            records.append(EventRecord(trial, None, outcome, None, None, passed))
+        for start, _, index, check in _trial_columns(seed, trials, DetectorModel(eta),
+                                                     table.probabilities):
+            for trial, i, u in zip(count(start), index.tolist(), check.tolist()):
+                if i < 0:
+                    records.append(EventRecord(trial, None, None, None, None, None))
+                else:
+                    records.append(EventRecord(trial, None, labels[i], None, None,
+                                               _passed(u, passes[i])))
     return RunResult(None, pre_detection, table, tuple(conditionals), tuple(records))

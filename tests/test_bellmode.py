@@ -280,7 +280,7 @@ def test_efficiency_report_rejects_empty_grid():
         efficiency_report(config, ())
 
 
-@pytest.mark.parametrize("grid", [(None,), (1.0, "fast")])
+@pytest.mark.parametrize("grid", [(None,), (1.0, "fast"), ["0.5"]])
 def test_efficiency_report_rejects_non_numeric_grid(grid):
     with pytest.raises(SimulationError, match="eta grid must hold numbers"):
         efficiency_report(default_scan_config(trials=100), grid)

@@ -15,6 +15,8 @@ from teleoptics.dsl import (
     pretty_print,
     tokenize,
 )
+from teleoptics.elements import ElementSpec
+from teleoptics.errors import SimulationError
 from teleoptics.protocol import alice_transform, preparer_encode, source_state
 from teleoptics.sampling import DetectorModel, StationConfig, run_trials
 from teleoptics.states import JonesVector, random_jones
@@ -109,6 +111,12 @@ def test_pretty_print_round_trip():
         assert reparsed.ok
         assert reparsed.program.statements == program.statements
         assert pretty_print(reparsed.program) == canonical
+
+
+def test_pretty_print_rejects_element_kind_without_statement_form():
+    program = dsl.CircuitProgram((dsl.ElementStmt(ElementSpec("relabel", 1, ("a", "b"))),))
+    with pytest.raises(SimulationError, match="'relabel' has no statement form"):
+        pretty_print(program)
 
 
 def test_pretty_print_keeps_renormalized_literal_stable():
